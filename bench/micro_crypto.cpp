@@ -1,9 +1,11 @@
 // Microbenchmarks of the cryptographic substrate on the build host.
 //
-// These measurements ground the simulator's cost model (sim/cost_model.hpp):
-// the MAC/digest base and per-byte constants are this host's measured
-// values scaled to the paper's Java-on-2013-Xeon environment (see
-// EXPERIMENTS.md, "Cost-model calibration").
+// The layer-by-layer cost of a MAC: one SHA-256 compression (portable and
+// the cpuid-selected one), a one-shot HMAC that hashes both pads, and a
+// MAC through RealCrypto, whose per-thread pair-key cache holds the pad
+// midstates. These timings once seeded the simulator's cost model; they no
+// longer feed it (sim/cost_model.hpp stays pinned to the paper's anchors,
+// see EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
 #include "crypto/authenticator.hpp"
@@ -25,6 +27,22 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Arg(65536);
 
+// One 64-byte compression: the portable code, and the one Sha256 uses on
+// this CPU (SHA-NI where cpuid reports it).
+void BM_Sha256Compress(benchmark::State& state,
+                       crypto::Sha256CompressFn compress) {
+  std::uint32_t chain[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  Byte block[64] = {0x5a};
+  for (auto _ : state) {
+    compress(chain, block, 1);
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, scalar, crypto::sha256_compress_scalar);
+BENCHMARK_CAPTURE(BM_Sha256Compress, selected,
+                  crypto::sha256_compress_selected());
+
 void BM_HmacMac(benchmark::State& state) {
   crypto::SymmetricKey key = crypto::master_key_from_seed(7);
   Bytes data(static_cast<std::size_t>(state.range(0)), Byte{0x5a});
@@ -35,6 +53,21 @@ void BM_HmacMac(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_HmacMac)->Arg(64)->Arg(100)->Arg(256)->Arg(1024)->Arg(4096);
+
+// A MAC as the runtime makes it: through the provider, pair-key lookup
+// included, alternating between two pairs.
+void BM_RealCryptoMac(benchmark::State& state) {
+  auto crypto = crypto::make_real_crypto(7);
+  Bytes data(static_cast<std::size_t>(state.range(0)), Byte{0x5a});
+  crypto::KeyNodeId peer = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto->mac(0, peer, data));
+    peer ^= 3;  // 1, 2, 1, 2, ...
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_RealCryptoMac)->Arg(100)->Arg(1024);
 
 void BM_AuthenticatorBuild3(benchmark::State& state) {
   auto crypto = crypto::make_real_crypto(7);

@@ -1,12 +1,15 @@
 // Throughput smoke measurement of the *threaded runtime* (real crypto,
 // real queues, in-process transport) for all three architectures.
 //
-// This host has a single CPU core, so these numbers demonstrate
-// functional end-to-end throughput, not multi-core scaling — that is the
-// simulator's job (fig5*, fig8). Still useful: it exercises the exact
-// code paths users of the library run, under sustained load.
+// Replicas, pillars and clients all share one host, so these numbers
+// demonstrate functional end-to-end throughput, not the paper's
+// multi-machine scaling — that is the simulator's job (fig5*, fig8); for a
+// repeatable, gated measurement of the runtime use perfbench/. Still
+// useful: it exercises the exact code paths users of the library run,
+// under sustained load.
 #include <atomic>
 #include <cstdio>
+#include <thread>
 
 #include "app/null_service.hpp"
 #include "client/client.hpp"
@@ -89,9 +92,10 @@ double run_arch(const char* name, int arch, std::uint32_t pillars,
   for (auto& c : clients) c->stop();
   for (auto& replica : replicas) replica->stop();
 
-  std::printf("%-6s %8.0f ops/s (%llu ops in %.2fs, host has 1 core)\n",
+  std::printf("%-6s %8.0f ops/s (%llu ops in %.2fs, host has %u cores)\n",
               name, ops, static_cast<unsigned long long>(completed.load()),
-              static_cast<double>(elapsed) / 1e6);
+              static_cast<double>(elapsed) / 1e6,
+              std::thread::hardware_concurrency());
   std::fflush(stdout);
   return ops;
 }

@@ -2,7 +2,7 @@
 
 namespace copbft::crypto {
 
-Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
+HmacKey::HmacKey(const SymmetricKey& key) {
   // Key is exactly 32 bytes (< 64-byte block), so no pre-hash is needed.
   Byte ipad[64];
   Byte opad[64];
@@ -14,20 +14,36 @@ Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
 
   Sha256 inner;
   inner.update(ByteSpan{ipad, sizeof ipad});
-  inner.update(data);
-  Digest inner_digest = inner.finish();
+  inner_ = inner.midstate();
 
   Sha256 outer;
   outer.update(ByteSpan{opad, sizeof opad});
+  outer_ = outer.midstate();
+}
+
+Digest HmacKey::sha256(ByteSpan data) const {
+  Sha256 inner = Sha256::resume(inner_, 1);
+  inner.update(data);
+  Digest inner_digest = inner.finish();
+
+  Sha256 outer = Sha256::resume(outer_, 1);
   outer.update(inner_digest.span());
   return outer.finish();
 }
 
-Mac hmac_mac(const SymmetricKey& key, ByteSpan data) {
-  Digest full = hmac_sha256(key, data);
+Mac HmacKey::mac(ByteSpan data) const {
+  Digest full = sha256(data);
   Mac mac;
   std::copy_n(full.bytes.begin(), mac.bytes.size(), mac.bytes.begin());
   return mac;
+}
+
+Digest hmac_sha256(const SymmetricKey& key, ByteSpan data) {
+  return HmacKey(key).sha256(data);
+}
+
+Mac hmac_mac(const SymmetricKey& key, ByteSpan data) {
+  return HmacKey(key).mac(data);
 }
 
 bool mac_equal(const Mac& a, const Mac& b) {

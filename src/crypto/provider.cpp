@@ -1,5 +1,8 @@
 #include "crypto/provider.hpp"
 
+#include <atomic>
+#include <utility>
+
 #include "crypto/sha256.hpp"
 
 namespace copbft::crypto {
@@ -25,13 +28,49 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+std::atomic<std::uint64_t> next_instance{1};
+
+// Per-thread direct-mapped cache of pair keys, shared by every RealCrypto
+// the thread uses. An entry is the pair's HMAC midstates tagged with the
+// provider instance and the ordered pair; instance 0 marks an empty slot.
+// 32 entries x 80 B = 2.5 KB per thread, however many client ids exist.
+struct PairKeySlot {
+  std::uint64_t instance = 0;
+  KeyNodeId lo = 0;
+  KeyNodeId hi = 0;
+  HmacKey key;
+};
+
+constexpr std::size_t kPairKeySlots = 32;
+thread_local PairKeySlot t_pair_keys[kPairKeySlots];
+
 }  // namespace
+
+RealCrypto::RealCrypto(KeyStore keys)
+    : keys_(std::move(keys)),
+      instance_(next_instance.fetch_add(1, std::memory_order_relaxed)) {}
+
+const HmacKey& RealCrypto::pair_key(KeyNodeId a, KeyNodeId b) const {
+  if (a > b) std::swap(a, b);
+  // A thread's pairs mostly share one member (its replica or client id),
+  // and x -> x ^ self is injective, so they land in distinct slots. The
+  // instance term spreads providers that share a thread apart.
+  auto salt = static_cast<KeyNodeId>(instance_ * 0x9e3779b97f4a7c15ULL >> 32);
+  PairKeySlot& slot = t_pair_keys[(a ^ b ^ salt) % kPairKeySlots];
+  if (slot.instance != instance_ || slot.lo != a || slot.hi != b) {
+    slot.key = HmacKey(keys_.key_for(a, b));
+    slot.instance = instance_;
+    slot.lo = a;
+    slot.hi = b;
+  }
+  return slot.key;
+}
 
 Digest RealCrypto::digest(ByteSpan data) const { return Sha256::hash(data); }
 
 Mac RealCrypto::mac(KeyNodeId sender, KeyNodeId receiver,
                     ByteSpan data) const {
-  return hmac_mac(keys_.key_for(sender, receiver), data);
+  return pair_key(sender, receiver).mac(data);
 }
 
 Digest NullCrypto::digest(ByteSpan data) const {

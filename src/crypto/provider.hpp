@@ -34,15 +34,23 @@ class CryptoProvider {
   }
 };
 
+/// MACs come from pair keys cached as HMAC midstates in a small per-thread
+/// table (see provider.cpp), so a MAC on a known pair costs the message's
+/// blocks plus one, with no lock and no shared write.
 class RealCrypto final : public CryptoProvider {
  public:
-  explicit RealCrypto(KeyStore keys) : keys_(std::move(keys)) {}
+  explicit RealCrypto(KeyStore keys);
 
   Digest digest(ByteSpan data) const override;
   Mac mac(KeyNodeId sender, KeyNodeId receiver, ByteSpan data) const override;
 
  private:
+  const HmacKey& pair_key(KeyNodeId a, KeyNodeId b) const;
+
   KeyStore keys_;
+  /// Process-unique and never reused: tags this provider's cache entries,
+  /// so a provider created at a recycled address cannot hit stale ones.
+  std::uint64_t instance_;
 };
 
 class NullCrypto final : public CryptoProvider {

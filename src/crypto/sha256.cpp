@@ -1,6 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace copbft::crypto {
 namespace {
@@ -34,60 +40,159 @@ inline void store32_be(Byte* p, std::uint32_t v) {
   p[3] = static_cast<Byte>(v);
 }
 
-}  // namespace
+#if defined(__x86_64__)
 
-void Sha256::reset() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  total_bytes_ = 0;
-  buffered_ = 0;
+#define COP_SHANI_TARGET __attribute__((target("sha,sse4.1")))
+
+// Four rounds over message group `w` (W[t..t+3]) with constants k[0..3].
+// The SHA extensions keep the state as ABEF/CDGH halves.
+COP_SHANI_TARGET inline void shani_rounds4(__m128i& abef, __m128i& cdgh,
+                                           __m128i w, const std::uint32_t* k) {
+  __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
 }
 
-void Sha256::compress(const Byte block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load32_be(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+// Message group t from groups t-16, t-12, t-8 and t-4.
+COP_SHANI_TARGET inline __m128i shani_schedule(__m128i w16, __m128i w12,
+                                               __m128i w8, __m128i w4) {
+  __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12),
+                            _mm_alignr_epi8(w4, w8, 4));  // W[t-7..t-4]
+  return _mm_sha256msg2_epu32(t, w4);
+}
+
+COP_SHANI_TARGET void compress_shani(std::uint32_t state[8],
+                                     const Byte* blocks, std::size_t nblocks) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  auto* st = reinterpret_cast<__m128i*>(state);
+
+  // state = A B C D | E F G H  ->  ABEF, CDGH (lanes high to low).
+  __m128i dcba = _mm_shuffle_epi32(_mm_loadu_si128(st), 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(st + 1), 0x1b);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xf0);
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const auto* in = reinterpret_cast<const __m128i*>(blocks);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), bswap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+#pragma GCC unroll 16
+    for (std::size_t g = 0; g < 16; ++g) {
+      shani_rounds4(abef, cdgh, w0, kK + 4 * g);
+      __m128i next = g < 12 ? shani_schedule(w0, w1, w2, w3) : w0;
+      w0 = w1;
+      w1 = w2;
+      w2 = w3;
+      w3 = next;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(st, _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(st + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
 
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+#undef COP_SHANI_TARGET
+
+bool cpu_has_shani() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_SSE4_1) == 0) return false;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return (b & (1u << 29)) != 0;  // CPUID.(EAX=7,ECX=0):EBX.SHA
+}
+
+#endif  // __x86_64__
+
+}  // namespace
+
+void sha256_compress_scalar(std::uint32_t state[8], const Byte* blocks,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load32_be(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+Sha256CompressFn sha256_compress_shani() {
+#if defined(__x86_64__)
+  if (cpu_has_shani()) return compress_shani;
+#endif
+  return nullptr;
+}
+
+Sha256CompressFn sha256_compress_selected() {
+  static const Sha256CompressFn selected = [] {
+    Sha256CompressFn shani = sha256_compress_shani();
+    return shani != nullptr ? shani : sha256_compress_scalar;
+  }();
+  return selected;
+}
+
+namespace {
+// Run the cpuid probe during static initialisation rather than inside the
+// first hash; a hash from another translation unit's static initialiser
+// still works, it just makes the choice itself.
+[[maybe_unused]] const Sha256CompressFn kSelectedAtStartup =
+    sha256_compress_selected();
+}  // namespace
+
+Sha256 Sha256::resume(const State& state, std::uint64_t blocks) {
+  Sha256 ctx;
+  ctx.state_ = state;
+  ctx.total_bytes_ = 64 * blocks;
+  return ctx;
+}
+
+void Sha256::reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  total_bytes_ = 0;
+  buffered_ = 0;
 }
 
 void Sha256::update(ByteSpan data) {
@@ -102,14 +207,15 @@ void Sha256::update(ByteSpan data) {
     p += take;
     n -= take;
     if (buffered_ == sizeof buffer_) {
-      compress(buffer_);
+      sha256_compress_selected()(state_.data(), buffer_, 1);
       buffered_ = 0;
     }
   }
-  while (n >= 64) {
-    compress(p);
-    p += 64;
-    n -= 64;
+  if (n >= 64) {
+    std::size_t blocks = n / 64;
+    sha256_compress_selected()(state_.data(), p, blocks);
+    p += 64 * blocks;
+    n -= 64 * blocks;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
@@ -120,14 +226,20 @@ void Sha256::update(ByteSpan data) {
 Digest Sha256::finish() {
   std::uint64_t bit_len = total_bytes_ * 8;
 
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  Byte pad[72];
-  std::size_t pad_len = (buffered_ < 56) ? 56 - buffered_ : 120 - buffered_;
-  pad[0] = 0x80;
-  std::memset(pad + 1, 0, pad_len - 1);
+  // Padding: 0x80, zeros, 64-bit big-endian length, into the last one or
+  // two blocks.
+  Sha256CompressFn compress = sha256_compress_selected();
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, sizeof buffer_ - buffered_);
+    compress(state_.data(), buffer_, 1);
+    buffered_ = 0;
+  }
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
-    pad[pad_len + i] = static_cast<Byte>(bit_len >> (56 - 8 * i));
-  update(ByteSpan{pad, pad_len + 8});
+    buffer_[56 + i] = static_cast<Byte>(bit_len >> (56 - 8 * i));
+  compress(state_.data(), buffer_, 1);
+  buffered_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) store32_be(out.bytes.data() + 4 * i, state_[i]);

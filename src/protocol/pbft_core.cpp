@@ -124,7 +124,7 @@ void PbftCore::equivocate_pre_prepare(PrePrepare real) {
 // inputs
 
 void PbftCore::on_request(Request req, std::uint64_t now_us, bool verified) {
-  now_us_ = now_us;
+  set_clock(now_us);
   std::uint64_t key = req.key();
   if (pending_keys_.contains(key) || ordered_keys_.contains(key)) {
     ++stats_.duplicates_dropped;
@@ -144,7 +144,7 @@ void PbftCore::on_request(Request req, std::uint64_t now_us, bool verified) {
 }
 
 void PbftCore::on_message(IncomingMessage im, std::uint64_t now_us) {
-  now_us_ = now_us;
+  set_clock(now_us);
   switch (type_of(im.msg)) {
     case MsgType::kPrePrepare:
       handle_pre_prepare(std::move(im));
@@ -529,7 +529,7 @@ void PbftCore::propose_batch(std::vector<Request> batch) {
 
 void PbftCore::fill_gap_upto(SeqNum seq, std::uint64_t now_us,
                              SeqNum frontier) {
-  now_us_ = now_us;
+  set_clock(now_us);
   if (view_changing_) return;
   // The execution stage still needs `frontier`, but everything at or below
   // our stable checkpoint was truncated cluster-wide (stability requires
@@ -556,7 +556,7 @@ void PbftCore::fill_gap_upto(SeqNum seq, std::uint64_t now_us,
 }
 
 void PbftCore::fetch_missing_upto(SeqNum upto, std::uint64_t now_us) {
-  now_us_ = now_us;
+  set_clock(now_us);
   if (view_changing_) return;
   SeqNum target = std::min(upto, stable_seq_ + config_.window);
   for (SeqNum seq = slice_.next_at_or_after(stable_seq_ + 1); seq <= target;
@@ -600,7 +600,7 @@ void PbftCore::hint_state_transfer(SeqNum observed) {
 
 void PbftCore::start_checkpoint(SeqNum seq, const crypto::Digest& digest,
                                 std::uint64_t now_us) {
-  now_us_ = now_us;
+  set_clock(now_us);
   // Paper §4.2.2: hosts agree checkpoints only at interval boundaries; a
   // misaligned sequence number means the execution stage and the protocol
   // core disagree about where the windows are.
@@ -724,7 +724,7 @@ bool PbftCore::has_outstanding_work() const {
 }
 
 void PbftCore::tick(std::uint64_t now_us) {
-  now_us_ = now_us;
+  set_clock(now_us);
   if (config_.retransmit_interval_us != 0 && !view_changing_)
     retransmit_stalled();
   if (config_.view_change_timeout_us == 0) return;  // disabled

@@ -80,6 +80,8 @@ struct CoreStats {
     request_verifications_skipped += other.request_verifications_skipped;
     duplicates_dropped += other.duplicates_dropped;
     invalid_dropped += other.invalid_dropped;
+    over_window_deferred += other.over_window_deferred;
+    over_window_dropped += other.over_window_dropped;
     view_changes_started += other.view_changes_started;
     view_changes_completed += other.view_changes_completed;
     checkpoints_stable += other.checkpoints_stable;
@@ -250,6 +252,16 @@ class PbftCore {
   /// Emits a rate-limited StateTransferNeeded for evidence at `observed`.
   void hint_state_transfer(SeqNum observed);
   void note_progress() { last_progress_us_ = now_us_; }
+  /// Every input's clock reading. The first one also starts the progress
+  /// timer: host clocks need not start near 0, and a view-change timeout
+  /// measured from 0 would fire on the first tick after the first frame.
+  void set_clock(std::uint64_t now_us) {
+    now_us_ = now_us;
+    if (!clock_started_) {
+      clock_started_ = true;
+      last_progress_us_ = now_us;
+    }
+  }
   bool has_outstanding_work() const;
 
   /// Funnel for all outgoing effects. On a configured adversary this is
@@ -300,6 +312,7 @@ class PbftCore {
   std::unordered_set<std::uint64_t> verified_keys_;
 
   std::uint64_t now_us_ = 0;
+  bool clock_started_ = false;
   std::uint64_t last_progress_us_ = 0;
   std::uint64_t last_transfer_hint_us_ = 0;
 

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "common/hex.hpp"
+#include "common/rng.hpp"
 #include "crypto/authenticator.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/key_store.hpp"
@@ -70,6 +76,67 @@ TEST(Sha256, LengthExtension55To57) {
   }
 }
 
+// ---- compression functions --------------------------------------------
+
+// Whole-message SHA-256 on the portable compression alone, with its own
+// padding: the reference for the selected compression and Sha256's
+// buffering and padding.
+Digest scalar_reference_hash(const Bytes& data) {
+  Bytes msg = data;
+  const std::uint64_t bit_len = 8 * static_cast<std::uint64_t>(data.size());
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  for (int i = 7; i >= 0; --i)
+    msg.push_back(static_cast<Byte>(bit_len >> (8 * i)));
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_compress_scalar(state, msg.data(), msg.size() / 64);
+  Digest out;
+  for (int i = 0; i < 8; ++i)
+    for (int b = 0; b < 4; ++b)
+      out.bytes[static_cast<std::size_t>(4 * i + b)] =
+          static_cast<Byte>(state[i] >> (24 - 8 * b));
+  return out;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (Byte& b : out) b = static_cast<Byte>(rng());
+  return out;
+}
+
+TEST(Sha256Compress, ShaNiMatchesScalarOnRandomBlocks) {
+  Sha256CompressFn shani = sha256_compress_shani();
+  if (shani == nullptr) GTEST_SKIP() << "CPU has no SHA extensions";
+  Rng rng(13);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t nblocks = 1 + rng.below(4);
+    Bytes blocks = random_bytes(rng, 64 * nblocks);
+    std::uint32_t a[8], b[8];
+    for (int i = 0; i < 8; ++i) a[i] = b[i] = static_cast<std::uint32_t>(rng());
+    sha256_compress_scalar(a, blocks.data(), nblocks);
+    shani(b, blocks.data(), nblocks);
+    ASSERT_EQ(std::memcmp(a, b, sizeof a), 0) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Compress, SelectedIsShaNiWhenAvailable) {
+  Sha256CompressFn shani = sha256_compress_shani();
+  EXPECT_EQ(sha256_compress_selected(),
+            shani != nullptr ? shani : &sha256_compress_scalar);
+}
+
+TEST(Sha256Compress, HashMatchesScalarReferenceForLengths0To1100) {
+  Rng rng(17);
+  Bytes data = random_bytes(rng, 1100);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    Bytes prefix(data.begin(),
+                 data.begin() + static_cast<std::ptrdiff_t>(len));
+    ASSERT_EQ(Sha256::hash(prefix), scalar_reference_hash(prefix))
+        << "len " << len;
+  }
+}
+
 // ---- HMAC-SHA256 (RFC 4231 vectors) ----------------------------------
 
 SymmetricKey key_of(const Bytes& raw) {
@@ -123,6 +190,28 @@ TEST(Hmac, TruncatedMacEquality) {
   EXPECT_FALSE(mac_equal(a, c));
 }
 
+TEST(Hmac, MidstateKeyMatchesTheDefinition) {
+  // HMAC(K, m) = H((K ^ opad) || H((K ^ ipad) || m)), spelled out.
+  SymmetricKey key = master_key_from_seed(3);
+  Rng rng(5);
+  for (std::size_t len : {0UL, 1UL, 55UL, 56UL, 64UL, 100UL, 1024UL}) {
+    Bytes data = random_bytes(rng, len);
+    Bytes inner, outer;
+    for (std::size_t i = 0; i < 64; ++i) {
+      Byte k = i < key.bytes.size() ? key.bytes[i] : 0;
+      inner.push_back(static_cast<Byte>(k ^ 0x36));
+      outer.push_back(static_cast<Byte>(k ^ 0x5c));
+    }
+    inner.insert(inner.end(), data.begin(), data.end());
+    Digest inner_digest = Sha256::hash(inner);
+    outer.insert(outer.end(), inner_digest.bytes.begin(),
+                 inner_digest.bytes.end());
+    const HmacKey midstates(key);
+    EXPECT_EQ(midstates.sha256(data), Sha256::hash(outer)) << "len " << len;
+    EXPECT_EQ(midstates.mac(data), hmac_mac(key, data)) << "len " << len;
+  }
+}
+
 // ---- key store -------------------------------------------------------
 
 TEST(KeyStore, PairwiseSymmetry) {
@@ -154,6 +243,80 @@ TEST(Providers, RealCryptoMacRoundTrip) {
   EXPECT_FALSE(crypto->verify_mac(0, 2, data, mac));
   data.push_back('!');
   EXPECT_FALSE(crypto->verify_mac(0, 1, data, mac));
+}
+
+// The reference MAC: derive the pair key afresh, no cache involved.
+Mac reference_mac(std::uint64_t seed, KeyNodeId a, KeyNodeId b,
+                  ByteSpan data) {
+  return hmac_mac(KeyStore(master_key_from_seed(seed)).key_for(a, b), data);
+}
+
+TEST(Providers, RealCryptoMacMatchesReferenceBeyondCacheSize) {
+  // Far more distinct pairs than the per-thread cache holds, each MACed in
+  // both directions and revisited after the others evicted it.
+  auto crypto = make_real_crypto(7);
+  Bytes data = to_bytes("a frame of about the size the runtime MACs");
+  for (int pass = 0; pass < 2; ++pass) {
+    for (KeyNodeId a = 0; a < 4; ++a) {
+      for (KeyNodeId b = 0; b < 60; ++b) {
+        const KeyNodeId peer = b < 4 ? b : 1000 + b;
+        const Mac expected = reference_mac(7, a, peer, data);
+        ASSERT_EQ(crypto->mac(a, peer, data), expected)
+            << a << "->" << peer << " pass " << pass;
+        ASSERT_EQ(crypto->mac(peer, a, data), expected)
+            << peer << "->" << a << " pass " << pass;
+      }
+    }
+  }
+}
+
+TEST(Providers, InterleavedProvidersKeepTheirOwnKeys) {
+  auto one = make_real_crypto(1);
+  auto two = make_real_crypto(2);
+  Bytes data = to_bytes("interleaved");
+  for (int round = 0; round < 3; ++round) {
+    for (KeyNodeId peer : {1u, 2u, 1001u}) {
+      EXPECT_EQ(one->mac(0, peer, data), reference_mac(1, 0, peer, data));
+      EXPECT_EQ(two->mac(0, peer, data), reference_mac(2, 0, peer, data));
+      EXPECT_NE(one->mac(0, peer, data), two->mac(0, peer, data));
+    }
+  }
+}
+
+TEST(Providers, RecreatedProviderNeverSeesStaleKeys) {
+  // A provider destroyed and re-created, quite possibly at the same
+  // address, must not hit entries its predecessor left in the cache.
+  Bytes data = to_bytes("recreated");
+  for (std::uint64_t seed = 10; seed < 20; ++seed) {
+    auto crypto = make_real_crypto(seed);
+    for (KeyNodeId peer : {1u, 2u, 3u, 1000u})
+      ASSERT_EQ(crypto->mac(0, peer, data), reference_mac(seed, 0, peer, data))
+          << "seed " << seed << " peer " << peer;
+  }
+}
+
+TEST(Providers, ConcurrentThreadsMacRandomPairs) {
+  auto crypto = make_real_crypto(7);
+  const KeyStore keys(master_key_from_seed(7));
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 2000; ++i) {
+        const auto a = static_cast<KeyNodeId>(rng.below(8));
+        const auto b = static_cast<KeyNodeId>(
+            rng.below(2) == 0 ? rng.below(8) : 1000 + rng.below(64));
+        Bytes data = random_bytes(rng, rng.below(300));
+        if (crypto->mac(a, b, data) != hmac_mac(keys.key_for(a, b), data))
+          ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
 }
 
 TEST(Providers, NullCryptoSemantics) {

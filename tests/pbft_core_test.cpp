@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <type_traits>
+
 #include "support/core_harness.hpp"
 
 namespace copbft::test {
@@ -219,6 +223,51 @@ TEST(PbftCore, OverWindowMessagesDeferUntilWindowSlides) {
   h.run_until_quiescent();
   for (ReplicaId r = 0; r < 4; ++r)
     EXPECT_EQ(h.delivered_sorted(r).size(), 15u) << "replica " << r;
+}
+
+// ---- progress timer and counters ---------------------------------------
+
+TEST(PbftCore, FirstFrameAtLargeClockDoesNotStartViewChange) {
+  // Host clocks (steady_clock in the runtime) are far from 0. A follower
+  // whose first input is a pre-prepare, with no idle tick before it, must
+  // time progress from that first reading, not from 0.
+  ProtocolConfig cfg = small_config();
+  cfg.view_change_timeout_us = 1'000'000;
+  PillarGroupHarness h({cfg});
+  h.advance_time(1'000'000'000'000);
+  h.client_request(1001, 1, payload(1), /*to=*/{0});
+  ASSERT_TRUE(h.step()) << "leader's pre-prepare reaches replica 1";
+
+  h.core(1).tick(h.now() + 1);
+  EXPECT_EQ(h.core(1).stats().view_changes_started, 0u);
+
+  // The timer still runs: with no progress for a full timeout it fires.
+  h.core(1).tick(h.now() + cfg.view_change_timeout_us);
+  EXPECT_EQ(h.core(1).stats().view_changes_started, 1u);
+}
+
+TEST(PbftCore, CoreStatsSumEveryCounter) {
+  // CoreStats is a flat record of u64 counters; view it as words so a
+  // counter added later and left out of operator+= fails here too.
+  static_assert(std::is_trivially_copyable_v<CoreStats>);
+  static_assert(sizeof(CoreStats) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kWords = sizeof(CoreStats) / sizeof(std::uint64_t);
+  std::array<std::uint64_t, kWords> wa{}, wb{};
+  for (std::size_t i = 0; i < kWords; ++i) {
+    wa[i] = i + 1;
+    wb[i] = 100 * (i + 1);
+  }
+  CoreStats a, b;
+  std::memcpy(&a, wa.data(), sizeof a);
+  std::memcpy(&b, wb.data(), sizeof b);
+  a += b;
+  std::array<std::uint64_t, kWords> sum{};
+  std::memcpy(sum.data(), &a, sizeof a);
+  for (std::size_t i = 0; i < kWords; ++i)
+    EXPECT_EQ(sum[i], 101 * (i + 1)) << "counter " << i;
+  // The two counters CopReplica::stats().core used to report as 0.
+  EXPECT_EQ(a.over_window_deferred, 101 * b.over_window_deferred / 100);
+  EXPECT_EQ(a.over_window_dropped, 101 * b.over_window_dropped / 100);
 }
 
 // ---- gap filling (paper §4.2.1) -----------------------------------------

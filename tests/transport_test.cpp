@@ -1,5 +1,7 @@
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -90,17 +92,49 @@ TEST(Inproc, PerSenderFifoOrder) {
 
 // ---- TCP --------------------------------------------------------------
 
-std::uint16_t pick_port(std::uint16_t base) {
-  // Spread across runs to dodge TIME_WAIT collisions.
-  auto salt = static_cast<std::uint32_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count() / 1000);
-  return static_cast<std::uint16_t>(base + (salt % 400));
+// A port that nothing is bound to, TIME_WAIT sockets included: the
+// kernel's choice for a bind to port 0. The probe never connects, so
+// closing it leaves nothing behind. (TcpTransport reads listen port 0 as
+// "no listener", so a test cannot hand it 0 and read the port back.)
+std::uint16_t free_port() {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  socklen_t len = sizeof addr;
+  bool ok =
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0;
+  ::close(fd);
+  return ok ? ntohs(addr.sin_port) : 0;
+}
+
+// Two peers must know both listen ports before either starts. The pair
+// comes from 20000-31999, below the kernel's ephemeral range (32768-60999)
+// where closed connections leave their ports in TIME_WAIT. The process id
+// spreads concurrent runs apart, and every call moves on to a new pair.
+std::uint16_t port_pair() {
+  static std::uint32_t calls = 0;
+  const auto slot =
+      (static_cast<std::uint32_t>(::getpid()) * 7 + calls++) % 6000;
+  return static_cast<std::uint16_t>(20000 + 2 * slot);
 }
 
 class TcpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_port_ = pick_port(45000);
+    // A pair taken by another process moves the fixture to the next one.
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      if (try_start(port_pair())) return;
+    }
+    FAIL() << "no free port pair in 8 attempts";
+  }
+
+  bool try_start(std::uint16_t base) {
+    if (a_) a_->shutdown();
+    if (b_) b_->shutdown();
+    base_port_ = base;
     peers_[1] = {"127.0.0.1", base_port_};
     peers_[2] = {"127.0.0.1", static_cast<std::uint16_t>(base_port_ + 1)};
     a_ = std::make_unique<TcpTransport>(1, base_port_, peers_);
@@ -112,13 +146,12 @@ class TcpTest : public ::testing::Test {
     a_->register_sink(1, a_inbox_);
     b_->register_sink(0, b_inbox_);
     b_->register_sink(1, b_inbox_);
-    ASSERT_TRUE(a_->start());
-    ASSERT_TRUE(b_->start());
+    return a_->start() && b_->start();
   }
 
   void TearDown() override {
-    a_->shutdown();
-    b_->shutdown();
+    if (a_) a_->shutdown();
+    if (b_) b_->shutdown();
   }
 
   std::uint16_t base_port_;
@@ -198,7 +231,8 @@ TEST_F(TcpTest, SendAfterShutdownFails) {
 // peer's listen(). The bounded backoff in connect_with_retry must bridge a
 // listener that shows up tens of milliseconds late.
 TEST(TcpConnectRetry, BridgesLateListener) {
-  std::uint16_t port = pick_port(46000);
+  std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[2] = {"127.0.0.1", port};
 
@@ -230,7 +264,8 @@ TEST(TcpConnectRetry, BridgesLateListener) {
 // The retry is bounded: with no listener ever appearing, send() must give
 // up after the configured attempts instead of spinning forever.
 TEST(TcpConnectRetry, GivesUpAfterBoundedAttempts) {
-  std::uint16_t port = pick_port(46500);
+  std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[2] = {"127.0.0.1", port};
 
@@ -468,7 +503,7 @@ TEST(TcpFdHygiene, ConnDestructorClosesTheSocket) {
 // traffic both ways, failed dials, shutdown — must return the process to
 // its baseline descriptor count.
 TEST(TcpFdHygiene, LifecyclesLeakNoDescriptors) {
-  const std::uint16_t port = pick_port(47000);
+  const std::uint16_t port = port_pair();
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[1] = {"127.0.0.1", port};
   peers[2] = {"127.0.0.1", static_cast<std::uint16_t>(port + 1)};
@@ -489,7 +524,7 @@ TEST(TcpFdHygiene, LifecyclesLeakNoDescriptors) {
     ASSERT_TRUE(a_inbox->queue().pop_for(std::chrono::microseconds(2'000'000)));
     // A dial that never connects must not leave a socket behind either.
     std::map<crypto::KeyNodeId, TcpPeer> dead;
-    dead[9] = {"127.0.0.1", static_cast<std::uint16_t>(port + 7)};
+    dead[9] = {"127.0.0.1", free_port()};
     TcpTransport c(3, 0, dead);
     c.set_connect_retry(2, 1);
     ASSERT_TRUE(c.start());
@@ -507,7 +542,8 @@ TEST(TcpFdHygiene, LifecyclesLeakNoDescriptors) {
 // dialed: the replica has no peer entry for the client (clients have no
 // listen port), so the accepted-connection route is the only way home.
 TEST(TcpClientRoute, RepliesRideTheAcceptedConnection) {
-  const std::uint16_t port = pick_port(47500);
+  const std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   std::map<crypto::KeyNodeId, TcpPeer> replica_peers;  // knows nobody
   TcpTransport replica(1, port, replica_peers);
   auto replica_inbox = std::make_shared<Inbox>();
@@ -542,7 +578,8 @@ TEST(TcpClientRoute, RepliesRideTheAcceptedConnection) {
 // transport's sockets and loops, each dialing with its own node id and
 // receiving its own replies on its own sink.
 TEST(TcpClientRoute, EndpointsKeepTheirIdentities) {
-  const std::uint16_t port = pick_port(48000);
+  const std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   std::map<crypto::KeyNodeId, TcpPeer> none;
   TcpTransport replica(1, port, none);
   auto replica_inbox = std::make_shared<Inbox>();
@@ -598,7 +635,8 @@ std::uint64_t counter_value(const std::string& name) {
 // ingress (bounded retry queue, then drop) — never block the loop thread,
 // never grow memory without bound.
 TEST(TcpAdmission, OverloadShedsClientFramesAtIngress) {
-  const std::uint16_t port = pick_port(48500);
+  const std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   TcpOptions opts;
   opts.loop.ingress_retry_budget = 4;
   opts.loop.ingress_retry_deadline_us = 2'000;
@@ -634,7 +672,7 @@ TEST(TcpAdmission, OverloadShedsClientFramesAtIngress) {
 // parks decoded frames and disarms EPOLLIN (TCP flow control pushes back);
 // every frame arrives, in order, with zero sheds.
 TEST(TcpAdmission, ReplicaPeersAreLosslessUnderBackpressure) {
-  const std::uint16_t port = pick_port(49000);
+  const std::uint16_t port = port_pair();
   std::map<crypto::KeyNodeId, TcpPeer> peers;
   peers[1] = {"127.0.0.1", port};
   peers[2] = {"127.0.0.1", static_cast<std::uint16_t>(port + 1)};
@@ -701,7 +739,8 @@ constexpr int kSoakClients = 2000;
 // two lane threads; under nominal load every request is admitted (zero
 // sheds) and every client gets its reply.
 TEST(TcpSoak, ThousandsOfClientsRoundTrip) {
-  const std::uint16_t port = pick_port(49500);
+  const std::uint16_t port = free_port();
+  ASSERT_NE(port, 0);
   std::map<crypto::KeyNodeId, TcpPeer> none;
   TcpTransport replica(1, port, none);
   auto echo = std::make_shared<EchoSink>(replica);
