@@ -408,9 +408,11 @@ void ExecutionStage::poll_pillar(std::uint32_t pillar, std::uint64_t now_us,
   for (std::uint32_t p = 0; p < config_.num_pillars; ++p)
     target = std::max(target, lanes_[p].watermark.load(
                                   std::memory_order_acquire));
-  if (target <= frontier) {
-    // Nothing admitted beyond the frontier (== means the frontier itself
-    // is published and the stage is about to run it): no gap.
+  if (target < frontier) {
+    // Nothing admitted at or beyond the frontier: no gap. At == the
+    // frontier itself was admitted: either the stage is about to run it
+    // (the frontier moves and the timer resets) or the ring dropped it,
+    // which only a redelivery after the stall timeout recovers.
     lane.stall_since_us = 0;
     return;
   }

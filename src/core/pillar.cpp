@@ -68,13 +68,20 @@ void Pillar::stop() {
 }
 
 void Pillar::run() {
+  // Timers (retransmission, view-change suspicion) and the stats snapshot
+  // run on the poll cadence, as the simulator's arm_ticks does, not after
+  // every event: a tick walks the core's undelivered instances and the
+  // snapshot takes a mutex. A queue that never empties still ticks once a
+  // poll period has passed.
   const auto poll = std::chrono::microseconds(1000);
+  std::uint64_t last_tick_us = 0;
   while (true) {
     auto event = queue_.pop_for(poll);
     if (!event && queue_.closed()) {
       publish_stats();
       return;
     }
+    const std::uint64_t now = now_us();
     // Commands are few but urgent (checkpoint stability slides the
     // window); drain them first.
     while (auto command = commands_.try_pop()) handle_command(*command);
@@ -82,7 +89,7 @@ void Pillar::run() {
     // of the bookkeeping the exec stage no longer does — checkpoint
     // rounds it owns and gap fills for its slice.
     poll_out_.clear();
-    exec_.poll_pillar(index_, now_us(), poll_out_);
+    exec_.poll_pillar(index_, now, poll_out_);
     for (PillarCommand& command : poll_out_) handle_command(command);
     if (event) {
       if (auto* frame = std::get_if<transport::ReceivedFrame>(&*event)) {
@@ -95,9 +102,14 @@ void Pillar::run() {
         handle_command(std::get<PillarCommand>(*event));
       }
     }
-    core_.tick(now_us());
+    const bool tick_due =
+        !event || now - last_tick_us >= static_cast<std::uint64_t>(poll.count());
+    if (tick_due) {
+      last_tick_us = now;
+      core_.tick(now);
+    }
     drain_effects();
-    publish_stats();
+    if (tick_due) publish_stats();
   }
 }
 
@@ -186,6 +198,10 @@ void Pillar::handle_command(PillarCommand& command) {
   } else if (const auto* stable = std::get_if<NoteStable>(&command)) {
     core_.note_checkpoint_stable(stable->seq, stable->digest);
   } else if (const auto* gap = std::get_if<FillGap>(&command)) {
+    // The frontier may be stalled on a batch this core delivered but the
+    // reorder ring dropped (it lagged by more than the ring) or an
+    // install discarded; no gap fill re-proposes a delivered instance.
+    core_.redeliver_lost(gap->frontier, gap->seq);
     core_.fill_gap_upto(gap->seq, now_us(), gap->frontier);
   } else if (const auto* fetch = std::get_if<FetchMissing>(&command)) {
     core_.fetch_missing_upto(fetch->upto, now_us());

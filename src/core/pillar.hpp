@@ -92,9 +92,10 @@ class Pillar final : public transport::FrameSink {
   }
 
   std::uint32_t index() const { return index_; }
-  /// Core statistics. Returns the snapshot the pillar thread published at
-  /// its last loop turn (and finally at exit), so concurrent reads are
-  /// safe while the pillar runs and exact after stop().
+  /// Core statistics. Returns the snapshot the pillar thread publishes on
+  /// its tick cadence: at most one poll period (1 ms) plus one event's
+  /// handling old while the pillar runs, and exact after stop() (the
+  /// thread publishes once more at exit). Concurrent reads are safe.
   protocol::CoreStats core_stats() const {
     MutexLock lock(stats_mutex_);
     return stats_snapshot_;

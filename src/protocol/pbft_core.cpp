@@ -419,6 +419,7 @@ void PbftCore::evaluate(Instance& inst) {
 void PbftCore::deliver(Instance& inst) {
   if (inst.delivered) return;
   inst.delivered = true;
+  undelivered_.erase(inst.seq);
   trace_instance(trace::Point::kCommit, self_, slice_, inst.seq, inst.view);
   note_progress();
   ++stats_.instances_delivered;
@@ -436,6 +437,7 @@ PbftCore::Instance& PbftCore::instance_at(SeqNum seq) {
     it->second.view = view_;
     it->second.proposer = config_.leader_for(view_, seq);
     it->second.last_activity_us = now_us_;
+    undelivered_.emplace(seq, &it->second);
   }
   return it->second;
 }
@@ -445,10 +447,8 @@ PbftCore::Instance& PbftCore::instance_at(SeqNum seq) {
 
 std::size_t PbftCore::own_active_proposals() const {
   std::size_t active = 0;
-  for (const auto& [seq, inst] : instances_) {
-    if (inst.have_pre_prepare && inst.proposer == self_ && !inst.delivered)
-      ++active;
-  }
+  for (const auto& [seq, inst] : undelivered_)
+    if (inst->have_pre_prepare && inst->proposer == self_) ++active;
   return active;
 }
 
@@ -552,6 +552,16 @@ void PbftCore::fill_gap_upto(SeqNum seq, std::uint64_t now_us,
     std::vector<Request> batch =
         collect_batch(config_.batching ? config_.max_batch : 1);
     propose_batch(std::move(batch));  // empty batch => no-op instance
+  }
+}
+
+void PbftCore::redeliver_lost(SeqNum frontier, SeqNum upto) {
+  auto it = instances_.find(frontier);
+  if (it == instances_.end() || !it->second.delivered) return;
+  for (; it != instances_.end() && it->first <= upto; ++it) {
+    const Instance& inst = it->second;
+    if (inst.delivered && in_window(inst.seq))
+      emit(Deliver{inst.seq, inst.view, inst.requests});
   }
 }
 
@@ -680,6 +690,7 @@ void PbftCore::make_stable(SeqNum seq, const crypto::Digest& digest,
         ordered_keys_.erase(req.key());
     it = instances_.erase(it);
   }
+  undelivered_.erase(undelivered_.begin(), undelivered_.upper_bound(seq));
   for (auto it = checkpoints_.begin();
        it != checkpoints_.end() && it->first <= seq;)
     it = checkpoints_.erase(it);
@@ -718,8 +729,8 @@ void PbftCore::note_checkpoint_stable(SeqNum seq,
 
 bool PbftCore::has_outstanding_work() const {
   if (!pending_.empty()) return true;
-  for (const auto& [seq, inst] : instances_)
-    if (inst.have_pre_prepare && !inst.delivered) return true;
+  for (const auto& [seq, inst] : undelivered_)
+    if (inst->have_pre_prepare) return true;
   return false;
 }
 
@@ -740,8 +751,9 @@ void PbftCore::tick(std::uint64_t now_us) {
 
 void PbftCore::retransmit_stalled() {
   const std::uint64_t interval = config_.retransmit_interval_us;
-  for (auto& [seq, inst] : instances_) {
-    if (inst.delivered || !in_window(seq)) continue;
+  for (auto& [seq, stalled] : undelivered_) {
+    if (!in_window(seq)) continue;
+    Instance& inst = *stalled;
     if (now_us_ < inst.last_activity_us + interval) continue;
     inst.last_activity_us = now_us_;
     if (inst.have_pre_prepare) {
@@ -963,10 +975,10 @@ void PbftCore::apply_new_view(const NewView& nv) {
   // Instances above the new-view horizon that were in flight in the old
   // view are void; their requests go back through the normal path (client
   // retransmission covers any we did not keep).
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    Instance& inst = it->second;
-    if (inst.seq > top && inst.view < nv.view && !inst.delivered) {
-      it = instances_.erase(it);
+  for (auto it = undelivered_.upper_bound(top); it != undelivered_.end();) {
+    if (it->second->view < nv.view) {
+      instances_.erase(it->first);
+      it = undelivered_.erase(it);
     } else {
       ++it;
     }

@@ -126,6 +126,14 @@ class PbftCore {
   /// state transfer can recover — a StateTransferNeeded effect is emitted.
   void fill_gap_upto(SeqNum seq, std::uint64_t now_us, SeqNum frontier = 0);
 
+  /// The host's execution stage is stalled at `frontier`, which this core
+  /// already delivered: the host lost the batch. Its bounded reorder
+  /// buffer may have dropped it, or a checkpoint install discarded what
+  /// was buffered. Re-emits Deliver for every delivered, untruncated
+  /// instance of this slice in [frontier, upto]; the host drops the
+  /// duplicates. Does nothing when `frontier` is not delivered here.
+  void redeliver_lost(SeqNum frontier, SeqNum upto);
+
   /// After a checkpoint install slid the window: (re-)fetch the proposals
   /// for this slice's still-open in-window sequence numbers up to `upto`
   /// so the tail above the restored checkpoint can be ordered.
@@ -153,6 +161,8 @@ class PbftCore {
   SeqNum next_proposal_seq() const { return slice_.at(next_index_); }
   std::size_t pending_requests() const { return pending_.size(); }
   std::size_t open_instances() const { return instances_.size(); }
+  /// Open instances not yet delivered: what the timers visit.
+  std::size_t undelivered_instances() const { return undelivered_.size(); }
   const CoreStats& stats() const { return stats_; }
   const ProtocolConfig& config() const { return config_; }
   ReplicaId self() const { return self_; }
@@ -294,6 +304,12 @@ class PbftCore {
   SeqNum next_index_ = 0;  ///< local instance counter i; seq = slice.at(i)
 
   std::map<SeqNum, Instance> instances_;
+  /// The instances_ entries not yet delivered, by seq (map nodes are
+  /// stable, so the pointers stay valid until the entry is erased). Kept by
+  /// instance_at, deliver, make_stable and apply_new_view. The per-tick
+  /// and per-request paths walk only this: instances_ also holds up to a
+  /// window of delivered instances that only wait for truncation.
+  std::map<SeqNum, Instance*> undelivered_;
   std::map<SeqNum, CheckpointState> checkpoints_;
 
   std::deque<Request> pending_;

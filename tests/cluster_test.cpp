@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "app/coordination.hpp"
 #include "app/kv_store.hpp"
+#include "core/outbound.hpp"
 #include "support/cluster_fixture.hpp"
 
 namespace copbft::test {
@@ -330,6 +333,99 @@ TEST(FaultTolerance, LeaderCrashTriggersViewChangeInRuntime) {
     view_advanced |=
         cluster.replica(r).stats().core.view_changes_completed > 0;
   EXPECT_TRUE(view_advanced);
+}
+
+TEST(FaultTolerance, BusyPillarStillRetransmits) {
+  // Pillar 1 of replica 3 loses every frame from replicas 1 and 2 for a
+  // short period, under continuous load. Its instances of that period
+  // stall pre-prepared: the leader's proposal arrives, but replica 3 sees
+  // neither a prepare quorum nor a commit quorum. No gap fill re-orders
+  // them (replica 3 leads none), so only the pillar's own retransmission
+  // timer recovers them: its PREPARE reaches peers that already delivered,
+  // and they answer with their COMMITs. A stream of forged requests
+  // (rejected by their MAC) reaches the pillar well within every poll
+  // period, so it never sits idle for one: its timers must run on elapsed
+  // time, not only when the queue runs dry.
+  ClusterOptions options;
+  options.arch = Arch::kCop;
+  options.num_pillars = 2;
+  options.runtime.protocol.batching = false;
+  // No checkpoint falls inside the cut: a lost checkpoint vote would
+  // strand the pillar's window and recover by state transfer instead.
+  options.runtime.protocol.checkpoint_interval = 5000;
+  options.runtime.protocol.window = 10000;
+  options.runtime.protocol.retransmit_interval_us = 20'000;
+  Cluster cluster(std::move(options));
+  auto dropping = std::make_shared<std::atomic<bool>>(false);
+  auto dropped = std::make_shared<std::atomic<std::uint64_t>>(0);
+  cluster.network().set_filter(
+      [dropping, dropped](crypto::KeyNodeId from, crypto::KeyNodeId to,
+                          transport::LaneId lane) {
+        const bool cut = dropping->load() && lane == 1 &&
+                         to == protocol::replica_node(3) &&
+                         (from == protocol::replica_node(1) ||
+                          from == protocol::replica_node(2));
+        if (cut) dropped->fetch_add(1);
+        return !cut;
+      });
+  cluster.start();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 4; ++c) {
+    auto& client = cluster.add_client(0, /*window=*/8);
+    threads.emplace_back([&client, &stop] {
+      while (!stop.load())
+        if (!client.invoke_async(to_bytes("busy"), 0, [](Bytes, std::uint64_t) {}))
+          return;
+      client.drain();
+    });
+  }
+  const crypto::KeyNodeId forger = protocol::client_node(9000);
+  protocol::Message forged =
+      protocol::Request{9000, 1, 0, to_bytes("forged"), {}};
+  Bytes forged_frame = core::seal_message(forged, cluster.crypto(), forger,
+                                          {protocol::replica_node(3)});
+  forged_frame.back() ^= 0xff;  // the MAC no longer verifies
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      cluster.network().send(forger, protocol::replica_node(3), /*lane=*/1,
+                             forged_frame);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  auto executed = [&](protocol::ReplicaId r) {
+    return cluster.replica(r).stats().exec.last_executed_seq;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (executed(0) < 200) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no progress";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  dropping->store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  dropping->store(false);
+  const protocol::SeqNum target = executed(0);
+  EXPECT_GT(dropped->load(), 0u);
+
+  // Replica 3 must execute past every instance of the cut while the load
+  // goes on.
+  bool recovered = true;
+  while (executed(3) < target) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      recovered = false;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop = true;
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(recovered) << "replica 3 stuck at seq " << executed(3) << " of "
+                         << target;
+  EXPECT_EQ(cluster.replica(3).stats().exec.state_installs, 0u)
+      << "recovered by retransmission, not by state transfer";
 }
 
 // ---- reply modes ------------------------------------------------------------

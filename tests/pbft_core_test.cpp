@@ -422,5 +422,197 @@ TEST(PbftCore, RotationTotalOrderConsistent) {
   }
 }
 
+// ---- timers visit only the undelivered instances -------------------------
+
+/// A checkpoint interval far above the load: every delivered instance
+/// stays in the log, as between two checkpoints of a long interval.
+ProtocolConfig untruncated_config() {
+  ProtocolConfig cfg = small_config();
+  cfg.checkpoint_interval = 2000;
+  cfg.window = 4000;
+  return cfg;
+}
+
+/// Drop filter switchable from the test: while `votes_blocked`, every
+/// PREPARE and COMMIT is lost, so new instances stall pre-prepared.
+struct VoteBlock {
+  bool votes_blocked = false;
+  PillarGroupHarness::Options options(ProtocolConfig cfg) {
+    PillarGroupHarness::Options o{cfg};
+    o.auto_checkpoint = false;
+    o.drop = [this](ReplicaId, ReplicaId, const Message& m) {
+      return votes_blocked && (std::holds_alternative<Prepare>(m) ||
+                               std::holds_alternative<Commit>(m));
+    };
+    return o;
+  }
+};
+
+constexpr int kDelivered = 1000;
+
+void deliver_many(PillarGroupHarness& h) {
+  for (int i = 1; i <= kDelivered; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  for (ReplicaId r = 0; r < 4; ++r) {
+    ASSERT_EQ(h.delivered(r).size(), static_cast<std::size_t>(kDelivered));
+    ASSERT_EQ(h.core(r).open_instances(), static_cast<std::size_t>(kDelivered))
+        << "nothing truncated";
+    ASSERT_EQ(h.core(r).undelivered_instances(), 0u);
+  }
+}
+
+TEST(PbftCore, TickRetransmitsOnlyStalledInstancesInSeqOrder) {
+  ProtocolConfig cfg = untruncated_config();
+  VoteBlock block;
+  PillarGroupHarness h(block.options(cfg));
+  deliver_many(h);
+
+  constexpr int kStalled = 5;
+  block.votes_blocked = true;
+  for (int i = 0; i < kStalled; ++i)
+    h.client_request(1002, i + 1, payload(kDelivered + i + 1));
+  h.run_until_quiescent();
+  PbftCore& follower = h.core(1);
+  ASSERT_EQ(follower.undelivered_instances(),
+            static_cast<std::size_t>(kStalled));
+
+  follower.tick(h.now() + cfg.retransmit_interval_us);
+  std::vector<Effect> effects = follower.take_effects();
+  ASSERT_EQ(effects.size(), static_cast<std::size_t>(kStalled))
+      << "one PREPARE per stalled instance, nothing for delivered ones";
+  for (int i = 0; i < kStalled; ++i) {
+    const auto* bc = std::get_if<Broadcast>(&effects[i]);
+    ASSERT_NE(bc, nullptr);
+    const auto* prep = std::get_if<Prepare>(&bc->msg);
+    ASSERT_NE(prep, nullptr);
+    EXPECT_EQ(prep->seq, static_cast<SeqNum>(kDelivered + i + 1));
+  }
+
+  // The leader re-sends its own proposals, likewise only the stalled ones.
+  h.core(0).tick(h.now() + cfg.retransmit_interval_us);
+  effects = h.core(0).take_effects();
+  ASSERT_EQ(effects.size(), static_cast<std::size_t>(kStalled));
+  for (int i = 0; i < kStalled; ++i) {
+    const auto* bc = std::get_if<Broadcast>(&effects[i]);
+    ASSERT_NE(bc, nullptr);
+    const auto* pp = std::get_if<PrePrepare>(&bc->msg);
+    ASSERT_NE(pp, nullptr);
+    EXPECT_EQ(pp->seq, static_cast<SeqNum>(kDelivered + i + 1));
+  }
+
+  // Within the interval nothing is due again.
+  follower.tick(h.now() + cfg.retransmit_interval_us + 1);
+  EXPECT_TRUE(follower.take_effects().empty());
+}
+
+TEST(PbftCore, OutstandingWorkOnlyWhilePrePreparedUndelivered) {
+  // Seen through the view-change timer: it fires after a full timeout
+  // without progress, and only while outstanding work exists.
+  ProtocolConfig cfg = untruncated_config();
+  cfg.view_change_timeout_us = 1'000'000;
+  VoteBlock block;
+  PillarGroupHarness h(block.options(cfg));
+  deliver_many(h);
+  auto started = [&] {
+    std::uint64_t n = 0;
+    for (ReplicaId r = 0; r < 4; ++r) n += h.core(r).stats().view_changes_started;
+    return n;
+  };
+
+  // A thousand delivered instances are not outstanding work.
+  h.advance_time(2 * cfg.view_change_timeout_us);
+  h.tick_all();
+  EXPECT_EQ(started(), 0u);
+
+  // An instance that stalls and then commits (by retransmission) stops
+  // being outstanding work once delivered.
+  block.votes_blocked = true;
+  h.client_request(1002, 1, payload(kDelivered + 1));
+  h.run_until_quiescent();
+  block.votes_blocked = false;
+  h.advance_time(cfg.retransmit_interval_us);
+  h.tick_all();
+  h.run_until_quiescent();
+  for (ReplicaId r = 0; r < 4; ++r)
+    ASSERT_EQ(h.core(r).undelivered_instances(), 0u) << "replica " << r;
+  h.advance_time(2 * cfg.view_change_timeout_us);
+  h.tick_all();
+  EXPECT_EQ(started(), 0u);
+
+  // A pre-prepared, undelivered instance is outstanding work: the timer
+  // holds short of the timeout and fires at it.
+  block.votes_blocked = true;
+  h.client_request(1002, 2, payload(kDelivered + 2));
+  h.run_until_quiescent();
+  h.core(1).tick(h.now() + cfg.view_change_timeout_us - 1);
+  EXPECT_EQ(h.core(1).stats().view_changes_started, 0u);
+  h.core(1).tick(h.now() + cfg.view_change_timeout_us);
+  EXPECT_EQ(h.core(1).stats().view_changes_started, 1u);
+}
+
+TEST(PbftCore, TruncationLeavesNoStaleUndeliveredEntries) {
+  ProtocolConfig cfg = small_config();  // interval 10, window 40
+  VoteBlock block;
+  PillarGroupHarness h(block.options(cfg));
+  for (int i = 1; i <= 5; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  block.votes_blocked = true;
+  for (int i = 6; i <= 8; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  PbftCore& follower = h.core(1);
+  ASSERT_EQ(follower.open_instances(), 8u);
+  ASSERT_EQ(follower.undelivered_instances(), 3u);
+
+  // Stability at 10 (agreed by the peers) truncates delivered and
+  // stalled instances alike.
+  follower.note_checkpoint_stable(10, crypto::Digest{});
+  EXPECT_EQ(follower.open_instances(), 0u);
+  EXPECT_EQ(follower.undelivered_instances(), 0u);
+  follower.tick(h.now() + cfg.retransmit_interval_us);
+  EXPECT_TRUE(follower.take_effects().empty())
+      << "no retransmission for truncated instances";
+}
+
+TEST(PbftCore, NewViewLeavesNoStaleUndeliveredEntries) {
+  ProtocolConfig cfg = untruncated_config();
+  cfg.view_change_timeout_us = 1'000'000;
+  // Phase 0: votes lost, so instances stall pre-prepared but unprepared.
+  // Phase 1: the old leader falls silent and the followers change view.
+  int phase = -1;
+  PillarGroupHarness::Options options{cfg};
+  options.auto_checkpoint = false;
+  options.drop = [&phase](ReplicaId from, ReplicaId, const Message& m) {
+    if (phase == 0)
+      return std::holds_alternative<Prepare>(m) ||
+             std::holds_alternative<Commit>(m);
+    if (phase == 1) return from == 0;
+    return false;
+  };
+  PillarGroupHarness h(std::move(options));
+  for (int i = 1; i <= 20; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  phase = 0;
+  for (int i = 21; i <= 24; ++i) h.client_request(1001, i, payload(i));
+  h.run_until_quiescent();
+  for (ReplicaId r = 1; r < 4; ++r)
+    ASSERT_EQ(h.core(r).undelivered_instances(), 4u) << "replica " << r;
+
+  phase = 1;
+  h.advance_time(cfg.view_change_timeout_us + 1);
+  h.tick_all();
+  h.run_until_quiescent();
+  for (ReplicaId r = 1; r < 4; ++r) {
+    ASSERT_EQ(h.core(r).view(), 1u) << "replica " << r;
+    // Nothing above the new view's horizon (no prepared proof) survives
+    // from view 0; the delivered instances stay until truncation.
+    EXPECT_EQ(h.core(r).undelivered_instances(), 0u) << "replica " << r;
+    EXPECT_EQ(h.core(r).open_instances(), 20u) << "replica " << r;
+    h.core(r).take_effects();
+    h.core(r).tick(h.now() + cfg.retransmit_interval_us);
+    EXPECT_TRUE(h.core(r).take_effects().empty())
+        << "replica " << r << " retransmits for a voided instance";
+  }
+}
+
 }  // namespace
 }  // namespace copbft::test
