@@ -127,7 +127,7 @@ double run_mode(bool offload, SeqNum per_pillar) {
           requests->push_back(std::move(req));
           const SeqNum basis =
               seq > config.protocol.window ? seq - config.protocol.window : 0;
-          stage.submit(CommittedBatch{seq, 0, requests, p, basis});
+          stage.admit(CommittedBatch{seq, 0, requests, p, basis});
         }
       });
     }

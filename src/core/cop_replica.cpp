@@ -1,5 +1,7 @@
 #include "core/cop_replica.hpp"
 
+#include <stdexcept>
+
 namespace copbft::core {
 
 CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
@@ -12,6 +14,11 @@ CopReplica::CopReplica(ReplicaId self, ReplicaRuntimeConfig config,
       transport_(transport),
       outbound_(self, config_.protocol.num_replicas, crypto, transport),
       exec_(self, config_, *service_, crypto, transport) {
+  // The rotating-leader scheme divides by protocol.num_pillars, the slices
+  // and the execution stage by num_pillars: they must be one count.
+  if (config_.num_pillars != config_.protocol.num_pillars)
+    throw std::invalid_argument(
+        "COP replica: num_pillars differs from protocol.num_pillars");
   // Laggard recovery: the manager serves the artifacts the execution
   // stage produces and, when a pillar reports being stranded, fetches and
   // installs a peer checkpoint, then slides every pillar's window to it.

@@ -6,7 +6,7 @@
 // retirer; workers run nothing but Service::execute. Each worker owns one
 // SPSC job ring — the stage publishes jobs with a release store, the
 // worker consumes them FIFO and publishes results back into the same slot.
-// Requests are routed by their AccessClass shard (`shard % workers`), so
+// Requests are routed by their AccessClass shard (ExecOrder::worker_of), so
 // two requests on one shard always land on one worker in dispatch order:
 // per-shard FIFO holds by construction, and no lock is needed anywhere on
 // the dispatch/execute/retire fast path. Global (unclassified) requests
@@ -49,15 +49,11 @@ class ExecPool {
     return static_cast<std::uint32_t>(workers_v_.size());
   }
 
-  /// Worker a shard routes to — fixed for the pool's lifetime, which is
-  /// what gives same-shard requests their FIFO.
-  std::uint32_t worker_of(std::uint32_t shard) const {
-    return shard % workers();
-  }
-
-  /// Stage thread only: true when `worker_of(shard)`'s ring has a free
-  /// slot. When false the stage must retire outstanding jobs first (it is
-  /// the only party that frees slots), never spin-wait here.
+  /// Stage thread only: true when `worker`'s ring has a free slot (a
+  /// shard's worker is ExecOrder::worker_of, fixed for the pool's lifetime,
+  /// which is what gives same-shard requests their FIFO). When false the
+  /// stage must retire outstanding jobs first (it is the only party that
+  /// frees slots), never spin-wait here.
   bool can_dispatch(std::uint32_t worker) const;
 
   /// Stage thread only: publishes `request` to `worker`'s ring. The

@@ -1,6 +1,7 @@
 #include "core/execution_stage.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/invariant.hpp"
 #include "common/hot.hpp"
@@ -17,174 +18,11 @@ namespace {
 constexpr std::size_t kReplyCachePerClient = 32;
 constexpr std::uint64_t kDedupWindow = 4096;
 
-// Slot state encoding (see ReorderRing in the header).
-constexpr std::uint64_t slot_published(protocol::SeqNum seq) {
-  return static_cast<std::uint64_t>(seq) << 1;
-}
-constexpr std::uint64_t slot_claimed(protocol::SeqNum seq) {
-  return (static_cast<std::uint64_t>(seq) << 1) | 1;
-}
-
-/// FNV-1a over the request keys. Two commits for the same sequence number
-/// must carry the same batch; a fingerprint mismatch on a duplicate means
-/// the total order forked. The stored fingerprint lets any pillar run the
-/// check against a slot another pillar published without touching the
-/// (non-atomic) payload.
-std::uint64_t batch_hash(const CommittedBatch& b) {
-  std::uint64_t h = 1469598103934665603ULL;
-  if (!b.requests) return h;
-  for (const auto& r : *b.requests) {
-    std::uint64_t k = r.key();
-    for (int i = 0; i < 8; ++i) {
-      h ^= (k >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-/// (request count << 1) | is_noop — the cheap half of the fingerprint.
-std::uint64_t batch_meta(const CommittedBatch& b) {
-  const bool noop = !b.requests || b.requests->empty();
-  const std::uint64_t n = noop ? 0 : b.requests->size();
-  return (n << 1) | (noop ? 1 : 0);
-}
-
 std::string exec_metric(ReplicaId self, const char* name) {
   return "replica" + std::to_string(self) + ".exec." + name;
 }
 
-/// Live sequence numbers span at most [frontier, stable + window]; the
-/// frontier can itself trail stability, so 2x window plus slack covers
-/// every buffered seq with distinct slots. Clamped so a pathological
-/// window cannot exhaust memory — collisions are then legal and resolved
-/// by publish().
-std::size_t ring_slots(std::uint64_t window) {
-  const std::uint64_t want = 2 * window + 2;
-  std::size_t n = 64;
-  while (n < want && n < (std::size_t{1} << 20)) n <<= 1;
-  return n;
-}
-
 }  // namespace
-
-// --------------------------------------------------------------------------
-// ReorderRing — lock-free slot ring, one pillar writer per slot (slice
-// partition), single consumer (the stage thread).
-
-ExecutionStage::ReorderRing::ReorderRing(std::uint64_t window)
-    : slots_(ring_slots(window)), mask_(slots_.size() - 1) {}
-
-COP_HOT ExecutionStage::ReorderRing::PublishResult
-ExecutionStage::ReorderRing::publish(CommittedBatch&& batch,
-                                     protocol::SeqNum frontier,
-                                     std::uint64_t hash, std::uint64_t meta) {
-  Slot& s = slots_[index(batch.seq)];
-  const std::uint64_t mine_pub = slot_published(batch.seq);
-  const std::uint64_t mine_claim = slot_claimed(batch.seq);
-  std::uint64_t cur = s.state.load(std::memory_order_seq_cst);
-  while (true) {
-    if (cur == mine_pub) {
-      // Redelivery of a seq someone already published. Read the stored
-      // fingerprint and validate it by re-reading the state word: if the
-      // slot changed under us (consumed/reclaimed mid-read), the
-      // fingerprint may belong to another batch and the check is skipped.
-      PublishResult res;
-      res.outcome = Outcome::kDuplicate;
-      res.stored_hash = s.hash.load(std::memory_order_relaxed);
-      res.stored_meta = s.meta.load(std::memory_order_relaxed);
-      res.fingerprint_valid =
-          s.state.load(std::memory_order_seq_cst) == mine_pub;
-      return res;
-    }
-    if (cur == mine_claim) {
-      // Another writer is mid-publishing the same seq (concurrent
-      // redelivery); nothing to verify yet.
-      return {Outcome::kDuplicate, false, 0, 0};
-    }
-    if (cur == 0) {
-      if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                           std::memory_order_seq_cst))
-        continue;  // cur reloaded
-      s.hash.store(hash, std::memory_order_relaxed);
-      s.meta.store(meta, std::memory_order_relaxed);
-      s.batch.emplace(std::move(batch));
-      count_.fetch_add(1, std::memory_order_relaxed);
-      s.state.store(mine_pub, std::memory_order_seq_cst);
-      return {Outcome::kStored, false, 0, 0};
-    }
-    if (cur & 1) {
-      // Claimed by a writer for a *different* seq — only reachable when
-      // distinct live seqs collide on one slot (clamped ring). Drop ours;
-      // gap detection re-fetches it.
-      return {Outcome::kDroppedSelf, false, 0, 0};
-    }
-    const protocol::SeqNum occupant = cur >> 1;
-    if (occupant < frontier) {
-      // Stale leftover below the execution frontier (e.g. dropped by a
-      // checkpoint install sweep that lost its CAS): reclaim in place.
-      if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                           std::memory_order_seq_cst))
-        continue;
-      s.hash.store(hash, std::memory_order_relaxed);
-      s.meta.store(meta, std::memory_order_relaxed);
-      s.batch.emplace(std::move(batch));  // destroys the stale payload
-      s.state.store(mine_pub, std::memory_order_seq_cst);
-      return {Outcome::kStored, false, 0, 0};
-    }
-    if (occupant < batch.seq) {
-      // Ring wrap-around with a live lower occupant: it executes first,
-      // keep it and drop ours; gap detection re-fetches.
-      return {Outcome::kDroppedSelf, false, 0, 0};
-    }
-    // Live higher occupant: evict it, ours executes first.
-    if (!s.state.compare_exchange_strong(cur, mine_claim,
-                                         std::memory_order_seq_cst))
-      continue;
-    s.hash.store(hash, std::memory_order_relaxed);
-    s.meta.store(meta, std::memory_order_relaxed);
-    s.batch.emplace(std::move(batch));
-    s.state.store(mine_pub, std::memory_order_seq_cst);
-    return {Outcome::kEvictedOther, false, 0, 0};
-  }
-}
-
-COP_HOT std::optional<CommittedBatch> ExecutionStage::ReorderRing::take(
-    protocol::SeqNum seq) {
-  Slot& s = slots_[index(seq)];
-  std::uint64_t want = slot_published(seq);
-  if (s.state.load(std::memory_order_seq_cst) != want) return std::nullopt;
-  // Claim before moving the payload out: writer CASes expect `published`
-  // and fail while we hold the claim, so eviction/reclaim can never race
-  // the move.
-  if (!s.state.compare_exchange_strong(want, slot_claimed(seq),
-                                       std::memory_order_seq_cst))
-    return std::nullopt;
-  std::optional<CommittedBatch> out = std::move(s.batch);
-  s.batch.reset();
-  count_.fetch_sub(1, std::memory_order_relaxed);
-  // Freed before the caller advances next_seq, so the slot is reusable by
-  // the time any writer can consider this seq stale.
-  s.state.store(0, std::memory_order_seq_cst);
-  return out;
-}
-
-void ExecutionStage::ReorderRing::discard_upto(protocol::SeqNum upto) {
-  for (Slot& s : slots_) {
-    std::uint64_t cur = s.state.load(std::memory_order_seq_cst);
-    if (cur == 0 || (cur & 1)) continue;  // free, or a writer owns it
-    const protocol::SeqNum occupant = cur >> 1;
-    if (occupant > upto) continue;
-    if (!s.state.compare_exchange_strong(cur, slot_claimed(occupant),
-                                         std::memory_order_seq_cst))
-      continue;  // republished concurrently; the writer self-heals later
-    s.batch.reset();
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    s.state.store(0, std::memory_order_seq_cst);
-  }
-}
-
-// --------------------------------------------------------------------------
 
 ExecutionStage::ExecutionStage(ReplicaId self,
                                const ReplicaRuntimeConfig& config,
@@ -196,10 +34,9 @@ ExecutionStage::ExecutionStage(ReplicaId self,
       service_(service),
       crypto_(crypto),
       transport_(transport),
-      reorder_(config.protocol.window),
-      lanes_(new PillarLane[std::max<std::uint32_t>(config.num_pillars, 1)]),
-      ckpt_mail_(
-          new CkptMailbox[std::max<std::uint32_t>(config.num_pillars, 1)]),
+      order_(config.protocol, config.num_pillars),
+      lanes_(new PillarLane[order_.num_pillars()]),
+      ckpt_mail_(new CkptMailbox[order_.num_pillars()]),
       install_queue_(config.queue_capacity),
       m_reorder_depth_(metrics::MetricsRegistry::global().gauge(
           exec_metric(self, "reorder_depth"))),
@@ -262,7 +99,7 @@ ExecutionStats ExecutionStage::stats() const {
   out.replies_omitted = n_replies_omitted_.get();
   out.checkpoints_triggered = n_checkpoints_triggered_.get();
   out.gap_fills_requested = n_gap_fills_requested_.get();
-  out.reorder_slot_drops = n_reorder_slot_drops_.get();
+  out.reorder_slot_drops = order_.slot_drops();
   out.state_installs = n_state_installs_.get();
   out.installs_rejected = n_installs_rejected_.get();
   out.installed_seq = n_installed_seq_.get();
@@ -297,92 +134,33 @@ void ExecutionStage::run() {
   }
 }
 
-COP_HOT bool ExecutionStage::admit(CommittedBatch batch) {
-  const std::uint32_t np = config_.num_pillars;
-  COP_INVARIANT(batch.seq != 0,
-                "sequence number 0 is genesis and must never commit "
-                "(pillar %u)",
-                batch.pillar);
-  // Paper §4.2.1: pillar p owns exactly the numbers c(p,i) = p + i*NP.
-  // This partition is also what makes pillar-side admission single-writer
-  // per ring slot: distinct pillars can never contend on a live slot.
-  COP_INVARIANT(batch.pillar < np && batch.seq % np == batch.pillar,
-                "seq %llu delivered by pillar %u breaks the c(p,i)=p+i*NP "
-                "partition (NP=%u)",
-                static_cast<unsigned long long>(batch.seq), batch.pillar, np);
-
-  // seq_cst pairs with take()/apply_ready: any occupant below this
-  // snapshot is no longer consumable by the stage and is safe to reclaim.
-  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_seq_cst);
-  if (batch.seq < frontier) return true;  // stale redelivery
-
-  // Paper §3.4/§4.2.2: commits may only run `window` past the stable
-  // checkpoint. The bound is checked against the emitting core's stable
-  // seq (carried in the batch), not this stage's frontier: a replica that
-  // learns stability from its peers' votes can legitimately buffer
-  // commits further ahead than its own execution has reached.
-  COP_INVARIANT(
-      batch.seq <= batch.stable_basis + config_.protocol.window,
-      "seq %llu exceeds the checkpoint-window drift bound: stable "
-      "checkpoint %llu + window %llu",
-      static_cast<unsigned long long>(batch.seq),
-      static_cast<unsigned long long>(batch.stable_basis),
-      static_cast<unsigned long long>(config_.protocol.window));
-
+COP_HOT void ExecutionStage::admit(CommittedBatch batch) {
   const protocol::SeqNum seq = batch.seq;
   const auto view = batch.view;
-  const std::uint32_t pillar = batch.pillar < np ? batch.pillar : 0;
-  const std::uint64_t hash = batch_hash(batch);
-  const std::uint64_t meta = batch_meta(batch);
-  m_drift_.set(static_cast<std::int64_t>(seq - batch.stable_basis));
+  const std::uint32_t pillar = batch.pillar;
+  const auto drift = static_cast<std::int64_t>(seq - batch.stable_basis);
 
-  const auto res = reorder_.publish(std::move(batch), frontier, hash, meta);
+  const ExecOrder::Admission res = order_.admit(std::move(batch));
   switch (res.outcome) {
-    case ReorderRing::Outcome::kDuplicate:
-      // A duplicate commit is tolerated, a conflicting one is a fork: two
-      // different batches for one slot can not both enter the total order.
-      if (res.fingerprint_valid) {
-        COP_INVARIANT(res.stored_hash == hash && res.stored_meta == meta,
-                      "conflicting commits for seq %llu: the total order "
-                      "would fork or leave a hole",
-                      static_cast<unsigned long long>(seq));
-      }
-      break;
-    case ReorderRing::Outcome::kDroppedSelf:
-      n_reorder_slot_drops_.add();
-      break;
-    case ReorderRing::Outcome::kEvictedOther:
-      n_reorder_slot_drops_.add();
-      [[fallthrough]];
-    case ReorderRing::Outcome::kStored:
+    case ExecOrder::Outcome::kStale:
+      return;
+    case ExecOrder::Outcome::kStored:
+    case ExecOrder::Outcome::kEvictedOther:
       trace::point(trace::Point::kReorderEnter, self_, pillar, seq, view,
                    /*client=*/0, /*request=*/0);
-      m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
+      m_reorder_depth_.set(static_cast<std::int64_t>(order_.size()));
+      break;
+    case ExecOrder::Outcome::kDuplicate:
+    case ExecOrder::Outcome::kDroppedSelf:
       break;
   }
-
-  // Slice admission watermark: the max seq this pillar has admitted (even
-  // when the ring dropped it — a dropped commit still needs re-fetching,
-  // which is exactly what the watermark-driven gap poll arranges). Single
-  // writer: only the owning pillar's thread stores it.
-  PillarLane& lane = lanes_[pillar];
-  if (seq > lane.watermark.load(std::memory_order_relaxed))
-    lane.watermark.store(seq, std::memory_order_release);
-
-  // Wake handshake (Dekker): the slot publish above and this next_seq
-  // load are both seq_cst, as are the stage's next_seq store and slot
-  // read — so either we observe the frontier and wake, or the stage's
-  // drain observes our publish. Waking only on the frontier edge is what
-  // keeps the stage's dequeue cost off the per-commit path.
-  if (res.outcome != ReorderRing::Outcome::kDroppedSelf &&
-      next_seq_.load(std::memory_order_seq_cst) == seq)
-    wake_exec();
-  return true;
+  m_drift_.set(drift);
+  if (res.at_frontier) wake_exec();
 }
 
 void ExecutionStage::poll_pillar(std::uint32_t pillar, std::uint64_t now_us,
                                  std::vector<PillarCommand>& out) {
-  if (pillar >= config_.num_pillars) return;
+  if (pillar >= order_.num_pillars()) return;
 
   // Checkpoint rounds this pillar owns (paper §4.2.2): drained here and
   // fed to the pillar's own handle_command by the caller.
@@ -398,16 +176,13 @@ void ExecutionStage::poll_pillar(std::uint32_t pillar, std::uint64_t now_us,
   // stops moving while some pillar has admitted past it. Each pillar runs
   // its own timer and requests fills for its own slice only.
   PillarLane& lane = lanes_[pillar];
-  const protocol::SeqNum frontier = next_seq_.load(std::memory_order_seq_cst);
+  const protocol::SeqNum frontier = order_.next_seq();
   if (frontier != lane.last_frontier) {
     lane.last_frontier = frontier;
     lane.stall_since_us = 0;
     return;
   }
-  protocol::SeqNum target = 0;
-  for (std::uint32_t p = 0; p < config_.num_pillars; ++p)
-    target = std::max(target, lanes_[p].watermark.load(
-                                  std::memory_order_acquire));
+  const protocol::SeqNum target = order_.highest_admitted();
   if (target < frontier) {
     // Nothing admitted at or beyond the frontier: no gap. At == the
     // frontier itself was admitted: either the stage is about to run it
@@ -427,21 +202,15 @@ void ExecutionStage::poll_pillar(std::uint32_t pillar, std::uint64_t now_us,
 }
 
 COP_HOT void ExecutionStage::apply_ready() {
-  while (true) {
-    const protocol::SeqNum next = next_seq_.load(std::memory_order_relaxed);
-    std::optional<CommittedBatch> batch = reorder_.take(next);
-    if (!batch) break;
+  while (std::optional<CommittedBatch> batch = order_.take()) {
     {
       metrics::ScopedTimer timer(m_execute_us_);
       execute_batch(*batch);
     }
-    m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
-    n_last_executed_seq_.set(next);
-    maybe_checkpoint(next);
-    // seq_cst pairs with the pillars' publish/frontier-check handshake;
-    // take() already freed the slot, so a writer that sees this new
-    // frontier can immediately reuse it.
-    next_seq_.store(next + 1, std::memory_order_seq_cst);
+    m_reorder_depth_.set(static_cast<std::int64_t>(order_.size()));
+    n_last_executed_seq_.set(batch->seq);
+    maybe_checkpoint(batch->seq);
+    order_.advance();
   }
   // Quiescent before parking (or stopping): every dispatched request is
   // retired and its reply emitted, so outside a ready streak the parallel
@@ -513,8 +282,7 @@ COP_HOT void ExecutionStage::execute_request(
     task.request = request.id;
     task.view = batch.view;
     task.seq = cached->second.seq;
-    task.pillar = static_cast<std::uint32_t>(cached->second.seq %
-                                             config_.num_pillars);
+    task.pillar = order_.reply_pillar(cached->second.seq);
     task.result = cached->second.result;  // the cache keeps its entry
     if (pending_.empty()) {
       emit_reply(std::move(task));
@@ -553,7 +321,7 @@ COP_HOT void ExecutionStage::dispatch_request(const protocol::Request& request,
                                               const CommittedBatch& batch,
                                               std::uint32_t index,
                                               std::uint32_t shard) {
-  const std::uint32_t worker = pool_->worker_of(shard);
+  const std::uint32_t worker = ExecOrder::worker_of(shard, pool_->workers());
   // The stage is the only party that frees ring slots (by retiring), so a
   // full ring is resolved here, never by spinning inside the pool.
   while (!pool_->can_dispatch(worker)) retire_front();
@@ -578,8 +346,7 @@ COP_HOT void ExecutionStage::dispatch_request(const protocol::Request& request,
   p.ticket = ticket;
   p.worker = worker;
   p.slot = pool_->dispatch(worker, &(*batch.requests)[index]);
-  p.omit = config_.reply_mode == ReplyMode::kOmitOne &&
-           config_.omitted_replier(request.key()) == self_;
+  p.omit = order_.omits_reply(config_.reply_mode, self_, request.key());
   p.task.client = request.client;
   p.task.request = request.id;
   p.task.view = batch.view;
@@ -606,8 +373,8 @@ void ExecutionStage::finish_request(ClientState& state,
     }
   }
 
-  const bool omit = config_.reply_mode == ReplyMode::kOmitOne &&
-                    config_.omitted_replier(request.key()) == self_;
+  const bool omit =
+      order_.omits_reply(config_.reply_mode, self_, request.key());
   // The omission is counted before requests_executed's release store, so
   // an observer that sees the request counted also sees the omission.
   if (omit) n_replies_omitted_.add();
@@ -693,7 +460,7 @@ COP_HOT void ExecutionStage::emit_reply(ReplyTask task) {
 }
 
 void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {
-  if (seq % config_.protocol.checkpoint_interval != 0) return;
+  if (!order_.checkpoint_boundary(seq)) return;
   // Quiescent point for the hash: state_digest()/snapshot() may only run
   // with no execute() in flight, so everything dispatched before this
   // boundary retires first (which also clears every pending_ticket).
@@ -717,9 +484,7 @@ void ExecutionStage::maybe_checkpoint(protocol::SeqNum seq) {
   // Round-robin checkpoint ownership across pillars (paper §4.2.2): mail
   // the frontier-crossing signal to the owner; its next poll_pillar()
   // turns it into a StartCheckpoint on the owning pillar's own thread.
-  const std::uint32_t owner = static_cast<std::uint32_t>(
-      (seq / config_.protocol.checkpoint_interval) % config_.num_pillars);
-  CkptMailbox& mail = ckpt_mail_[owner];
+  CkptMailbox& mail = ckpt_mail_[order_.checkpoint_owner(seq)];
   MutexLock lock(mail.mutex);
   mail.pending.push_back(CkptSignal{seq, digest});
 }
@@ -823,7 +588,7 @@ void ExecutionStage::handle_install(InstallState install) {
 
   // Execution already passed this checkpoint (the transfer raced normal
   // progress): nothing to do, and not a failure.
-  if (install.seq < next_seq_.load(std::memory_order_relaxed)) {
+  if (install.seq < order_.next_seq()) {
     if (install.done) install.done(true);
     return;
   }
@@ -840,13 +605,9 @@ void ExecutionStage::handle_install(InstallState install) {
     return reject();
 
   clients_ = std::move(clients);
-  // Ring truncation races pillar writers: advance the frontier *first*
-  // (seq_cst), then sweep. A writer that published concurrently and lost
-  // the sweep's CAS left a below-frontier occupant, which any later
-  // publish to that slot reclaims in place — the ring self-heals.
-  next_seq_.store(install.seq + 1, std::memory_order_seq_cst);
-  reorder_.discard_upto(install.seq);
-  m_reorder_depth_.set(static_cast<std::int64_t>(reorder_.size()));
+  // A buffered new frontier needs no wake: apply_ready runs next.
+  order_.install(install.seq);
+  m_reorder_depth_.set(static_cast<std::int64_t>(order_.size()));
   installed_floor_ = install.seq;
   n_state_installs_.add();
   n_installed_seq_.set(install.seq);

@@ -7,10 +7,12 @@
 // writes the committed batch directly into its interleaved slice of the
 // reorder ring (single writer per slot by the c(p,i) = p + i·NP
 // partition; lock-free publish with an atomic per-slot state word). The
-// pillar also maintains its slice's admission watermark, and poll_pillar()
-// lets it pick up its own work — gap fills for its slice on timeout and
-// checkpoint rounds it owns — so the stage thread does nothing but
-// advance next_seq, read ready slots and invoke the service.
+// ring, the frontier, the admission watermarks and the routing rules are
+// core::ExecOrder (exec_order.hpp), which the simulator drives too. The
+// pillar's poll_pillar() lets it pick up its own work — gap fills for its
+// slice on timeout and checkpoint rounds it owns — so the stage thread
+// does nothing but advance the frontier, read ready slots and invoke the
+// service.
 //
 // Responsibilities that remain on the stage thread:
 //   * execute strictly in sequence order from the reorder ring,
@@ -49,7 +51,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -59,6 +60,7 @@
 #include "common/queue.hpp"
 #include "common/threading.hpp"
 #include "core/events.hpp"
+#include "core/exec_order.hpp"
 #include "core/exec_pool.hpp"
 #include "core/runtime_config.hpp"
 
@@ -116,8 +118,8 @@ class StageCounter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Multi-writer counter: pillar threads share it (gap fills, slot drops),
-/// so this one does pay for the RMW.
+/// Multi-writer counter: pillar threads share it (gap fills), so this one
+/// does pay for the RMW.
 class SharedCounter {
  public:
   void add(std::uint64_t delta = 1) {
@@ -159,9 +161,7 @@ class ExecutionStage {
   /// straight into its reorder-ring slot, then wakes the stage thread iff
   /// the batch is the execution frontier. Thread-safe: each pillar only
   /// writes slots of its own slice c(p,i) = p + i·NP.
-  bool admit(CommittedBatch batch);
-  /// Compatibility alias for single-producer callers (tests, benches).
-  bool submit(CommittedBatch batch) { return admit(std::move(batch)); }
+  void admit(CommittedBatch batch);
 
   /// Called by the state-transfer manager with a fetched stable
   /// checkpoint; `done` runs on the stage thread with the outcome.
@@ -176,9 +176,9 @@ class ExecutionStage {
 
   /// Snapshot of the counters; safe to call from any thread while running.
   ExecutionStats stats() const;
-  protocol::SeqNum next_seq() const {
-    return next_seq_.load(std::memory_order_acquire);
-  }
+  protocol::SeqNum next_seq() const { return order_.next_seq(); }
+  /// The ordering core: frontier, reorder ring and routing rules.
+  const ExecOrder& order() const { return order_; }
 
  private:
   struct CachedReply {
@@ -203,87 +203,10 @@ class ExecutionStage {
     std::unordered_map<protocol::RequestId, CachedReply> replies;
   };
 
-  /// Window-bounded concurrent reorder buffer indexed by seq % capacity.
-  /// Multi-producer (one pillar per slot by the slice partition),
-  /// single-consumer (the stage thread). Each slot carries an atomic state
-  /// word encoding {empty, claimed(seq), published(seq)}:
-  ///
-  ///   0                  free
-  ///   (seq << 1) | 1     claimed — a writer (or the consumer) holds the
-  ///                      payload exclusively
-  ///   (seq << 1)         published — payload readable, owned by `seq`
-  ///
-  /// Writers claim a slot by CAS, fill the payload, then publish with a
-  /// seq_cst store (the stage pairs it with a seq_cst next_seq load for
-  /// the wake-up handshake). The consumer claims a published frontier slot
-  /// before moving the batch out, so a concurrent writer can never touch a
-  /// payload the stage is consuming. The drift invariant keeps live
-  /// sequence numbers within `window` of the execution frontier, so a
-  /// ring of ~2x window slots gives every live seq a distinct slot; slot
-  /// collisions (bound violated or clamped ring) keep the lower seq.
-  class ReorderRing {
-   public:
-    enum class Outcome {
-      kStored,        ///< batch published into its slot
-      kDuplicate,     ///< slot already carries this seq (redelivery)
-      kDroppedSelf,   ///< collision with a lower live seq: ours dropped
-      kEvictedOther,  ///< collision with a higher live seq: it was evicted
-    };
-    struct PublishResult {
-      Outcome outcome = Outcome::kStored;
-      /// kDuplicate only: stored fingerprint was read consistently and can
-      /// be compared against the incoming batch (fork check).
-      bool fingerprint_valid = false;
-      std::uint64_t stored_hash = 0;
-      std::uint64_t stored_meta = 0;
-    };
-
-    explicit ReorderRing(std::uint64_t window);
-
-    /// Writer side (pillar thread). `frontier` is the caller's seq_cst
-    /// snapshot of next_seq; occupants below it are dead and reclaimed in
-    /// place. `hash`/`meta` fingerprint the batch for fork detection.
-    PublishResult publish(CommittedBatch&& batch, protocol::SeqNum frontier,
-                          std::uint64_t hash, std::uint64_t meta);
-    /// Consumer side (stage thread): atomically claims and removes the
-    /// batch published for exactly `seq`, or returns nullopt.
-    std::optional<CommittedBatch> take(protocol::SeqNum seq);
-    /// Consumer side: drops every published batch with seq <= `upto`
-    /// (checkpoint install). Slots a writer holds claimed are skipped —
-    /// they republish against the post-install frontier and self-heal.
-    void discard_upto(protocol::SeqNum upto);
-
-    std::size_t size() const {
-      return count_.load(std::memory_order_relaxed);
-    }
-    bool empty() const { return size() == 0; }
-
-   private:
-    struct alignas(64) Slot {
-      std::atomic<std::uint64_t> state{0};
-      /// Fingerprint of the published batch (see batch_fingerprint in the
-      /// .cpp): readable by any pillar for the duplicate fork check, so
-      /// they are atomics validated by re-reading `state`.
-      std::atomic<std::uint64_t> hash{0};
-      std::atomic<std::uint64_t> meta{0};
-      std::optional<CommittedBatch> batch;
-    };
-
-    std::size_t index(protocol::SeqNum seq) const {
-      return static_cast<std::size_t>(seq) & mask_;
-    }
-    std::vector<Slot> slots_;
-    std::size_t mask_ = 0;
-    std::atomic<std::size_t> count_{0};
-  };
-
-  /// Per-pillar admission lane. `watermark` is written only by the owning
-  /// pillar (release) and read by every pillar's gap poll (acquire); the
-  /// poll fields are private to the owning pillar's thread.
+  /// Per-pillar gap-poll state, private to the owning pillar's thread.
   struct alignas(64) PillarLane {
-    std::atomic<protocol::SeqNum> watermark{0};
-    protocol::SeqNum last_frontier = 0;   ///< poll-private
-    std::uint64_t stall_since_us = 0;     ///< poll-private
+    protocol::SeqNum last_frontier = 0;
+    std::uint64_t stall_since_us = 0;
   };
 
   /// Checkpoint hand-off to the owning pillar. The stage thread appends at
@@ -348,11 +271,9 @@ class ExecutionStage {
   SnapshotFn snapshot_fn_;
   ReplyFn reply_fn_;
 
-  // Shared between pillar writers and the stage thread. next_seq_ is
-  // advanced only by the stage thread (execution and install); pillars
-  // read it with seq_cst for the stale check / wake handshake.
-  ReorderRing reorder_;
-  std::atomic<protocol::SeqNum> next_seq_{1};
+  // Shared between pillar writers (admit) and the stage thread (take,
+  // advance, install).
+  ExecOrder order_;
   std::unique_ptr<PillarLane[]> lanes_;
   std::unique_ptr<CkptMailbox[]> ckpt_mail_;
 
@@ -414,9 +335,8 @@ class ExecutionStage {
   StageCounter n_installs_rejected_;
   StageCounter n_last_executed_seq_;
   StageCounter n_installed_seq_;
-  // Written from pillar threads (admission moved to the pillars).
+  // Written from pillar threads (gap polls run on the pillars).
   SharedCounter n_gap_fills_requested_;
-  SharedCounter n_reorder_slot_drops_;
 
   std::jthread thread_;
 };

@@ -185,15 +185,10 @@ void Pillar::handle_command(PillarCommand& command) {
     // Checkpoint agreements are distributed round-robin over the pillars
     // (paper §4.2.2); running one on the wrong pillar would agree the
     // checkpoint on the wrong lane and desynchronize log truncation.
-    COP_INVARIANT(
-        (cp->seq / config_.protocol.checkpoint_interval) %
-                config_.num_pillars ==
-            index_,
-        "checkpoint at seq %llu routed to pillar %u, owner is %llu",
-        static_cast<unsigned long long>(cp->seq), index_,
-        static_cast<unsigned long long>(
-            (cp->seq / config_.protocol.checkpoint_interval) %
-            config_.num_pillars));
+    COP_INVARIANT(exec_.order().checkpoint_owner(cp->seq) == index_,
+                  "checkpoint at seq %llu routed to pillar %u, owner is %u",
+                  static_cast<unsigned long long>(cp->seq), index_,
+                  exec_.order().checkpoint_owner(cp->seq));
     core_.start_checkpoint(cp->seq, cp->digest, now_us());
   } else if (const auto* stable = std::get_if<NoteStable>(&command)) {
     core_.note_checkpoint_stable(stable->seq, stable->digest);

@@ -21,8 +21,9 @@ enum class ReplyMode : std::uint8_t {
 struct ReplicaRuntimeConfig {
   protocol::ProtocolConfig protocol;
 
-  /// COP pillars per replica (ignored by TOP/SMaRt replicas, which have a
-  /// single protocol-logic thread). Must equal protocol.num_pillars.
+  /// COP pillars per replica (TOP/SMaRt replicas, which have a single
+  /// protocol-logic thread, need 1). Must equal protocol.num_pillars;
+  /// CopReplica rejects any other value.
   std::uint32_t num_pillars = 1;
 
   ReplyMode reply_mode = ReplyMode::kAll;
@@ -50,10 +51,6 @@ struct ReplicaRuntimeConfig {
 
   /// Chunk size of snapshot delivery in StateReply frames.
   std::size_t state_chunk_bytes = 64 * 1024;
-
-  ReplicaId omitted_replier(std::uint64_t request_key) const {
-    return static_cast<ReplicaId>(request_key % protocol.num_replicas);
-  }
 };
 
 }  // namespace copbft::core

@@ -1,6 +1,4 @@
 #include "sim/simulation.hpp"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 #include <cassert>
@@ -12,6 +10,7 @@
 
 #include "app/null_service.hpp"
 #include "common/rng.hpp"
+#include "core/exec_order.hpp"
 #include "protocol/verifier.hpp"
 #include "sim/machine.hpp"
 #include "sim/nic.hpp"
@@ -207,26 +206,25 @@ struct ExecSim {
   ReplicaSim& replica;
   SimThread& thread;
 
-  SeqNum next_seq = 1;
-  /// Written directly by the delivering logic unit (pre-execution
-  /// offload, §4.3.1): admission costs are charged to the pillar, and the
-  /// stage is only woken when the execution frontier was published. At
-  /// most one drain task is pending (the edge-triggered wake).
-  std::map<SeqNum, Deliver> reorder;
+  /// The runtime's ordering core, admitted into directly by the delivering
+  /// logic unit (pre-execution offload, §4.3.1): admission costs are
+  /// charged to the pillar, and the stage is only woken when the execution
+  /// frontier was published. At most one drain task is pending (the
+  /// edge-triggered wake).
+  core::ExecOrder order;
   bool drain_scheduled = false;
   std::size_t reorder_peak = 0;
-  std::uint64_t executed_requests = 0;
-  std::uint64_t executed_instances = 0;
   /// Parallel execution (exec_pool() > 0): requests run on the worker
   /// threads; the stage only dispatches and retires.
   std::vector<SimThread*> workers;
-  std::uint64_t executed_parallel = 0;
-  /// Virtual ns the stage spent waiting on its slowest worker (conflict
-  /// stalls: retirement is in order, so a lagging worker blocks it).
-  double stall_ns = 0;
+  /// Shard classification of the kNull service (Service::classify).
+  app::NullService service;
 
   ExecSim(World& w, ReplicaSim& r, SimThread& t)
-      : world(w), replica(r), thread(t) {}
+      : world(w),
+        replica(r),
+        thread(t),
+        order(w.cfg.protocol, w.cfg.pillars()) {}
 
   double drain();
   double apply_ready(std::map<std::uint32_t, std::vector<PendingReply>>& out);
@@ -364,7 +362,6 @@ struct ClientFleet {
   std::vector<std::vector<SimThread*>> threads;
   std::vector<SimClient> clients;
   Rng rng;
-  std::uint64_t stray_replies = 0;  ///< replies for unknown request ids
 
   static constexpr std::uint32_t kThreadsPerMachine = 8;
 
@@ -511,11 +508,12 @@ double LogicUnit::drain_effects() {
       // when the published instance is the execution frontier.
       cost += costs.pillar_admit_ns;
       ExecSim* exec = replica.exec.get();
-      const SeqNum seq = del->seq;
-      if (seq >= exec->next_seq && !exec->reorder.contains(seq))
-        exec->reorder.emplace(seq, std::move(*del));
-      exec->reorder_peak = std::max(exec->reorder_peak, exec->reorder.size());
-      if (seq == exec->next_seq && !exec->drain_scheduled) {
+      const core::ExecOrder::Admission admitted =
+          exec->order.admit(core::CommittedBatch{del->seq, del->view,
+                                                 std::move(del->requests),
+                                                 index, core->stable_seq()});
+      exec->reorder_peak = std::max(exec->reorder_peak, exec->order.size());
+      if (admitted.at_frontier && !exec->drain_scheduled) {
         exec->drain_scheduled = true;
         cost += costs.handoff_ns;
         exec->thread.post([exec]() -> double { return exec->drain(); });
@@ -735,14 +733,11 @@ void ReplicaSim::complete_state_transfer(SeqNum observed) {
     for (auto& unit : peer->logic)
       stable = std::max(stable, unit->core->stable_seq());
   }
-  if (stable < exec->next_seq) return;  // caught up by retransmission
+  if (stable < exec->order.next_seq()) return;  // caught up by retransmission
   ++world.state_transfers;
-  exec->reorder.erase(exec->reorder.begin(),
-                      exec->reorder.upper_bound(stable));
-  exec->next_seq = stable + 1;
   // The new frontier may already sit in the ring with no future publish
   // edge to wake the stage: kick a drain explicitly.
-  if (!exec->drain_scheduled && exec->reorder.contains(exec->next_seq)) {
+  if (exec->order.install(stable) && !exec->drain_scheduled) {
     ExecSim* e = exec.get();
     e->drain_scheduled = true;
     e->thread.post([e]() -> double { return e->drain(); });
@@ -763,8 +758,7 @@ void ReplicaSim::crash_reset() {
     unit->reset_core();
     unit->last_gap_frontier = 0;
   }
-  exec->next_seq = 1;
-  exec->reorder.clear();
+  exec->order.reset();
   transfer_inflight = false;
 }
 
@@ -788,13 +782,12 @@ double ExecSim::apply_ready(
   const CostModel& costs = world.costs;
   double cost = 0;
 
-  // Parallel execution (threaded mirror: ExecPool). Per request the stage
+  // Parallel execution (the runtime's ExecPool). Per request the stage
   // pays dispatch + retire instead of the service cost, which moves to
-  // the shard's worker (fixed shard -> worker mapping, like the threaded
-  // stage's worker_of). Workers run concurrently with the stage's own
-  // bookkeeping, so per drained burst the stage only stalls for
-  // max(0, slowest worker - its own overlapping work) — the conflict
-  // stall of in-order retirement.
+  // the shard's worker (ExecOrder::worker_of). Workers run concurrently
+  // with the stage's own bookkeeping, so per drained burst the stage only
+  // stalls for max(0, slowest worker - its own overlapping work) — the
+  // conflict stall of in-order retirement.
   const std::uint32_t pool = static_cast<std::uint32_t>(workers.size());
   std::vector<double> worker_busy(pool, 0.0);
   double settle_mark = 0;
@@ -810,19 +803,16 @@ double ExecSim::apply_ready(
     }
     const double overlap = cost - settle_mark;
     const double stall = std::max(0.0, slowest - overlap);
-    stall_ns += stall;
     cost += stall;
     settle_mark = cost;
   };
 
-  while (true) {
-    auto it = reorder.find(next_seq);
-    if (it == reorder.end()) break;
-    const Deliver& d = it->second;
-    ++executed_instances;
+  while (std::optional<core::CommittedBatch> batch = order.take()) {
+    const core::CommittedBatch& d = *batch;
+    const SeqNum seq = d.seq;
     cost += costs.exec_order_ns;
     // Fork oracle (pure observer, no CPU charged): record what this
-    // replica executed at next_seq and compare against its peers. The
+    // replica executed at seq and compare against its peers. The
     // fold over (client, id) keys is order-sensitive, so any divergence
     // in agreed batch contents shows up.
     std::uint64_t content_hash = 1469598103934665603ULL;
@@ -832,49 +822,37 @@ double ExecSim::apply_ready(
         content_hash *= 1099511628211ULL;
       }
     }
-    world.note_executed(replica.id, next_seq, content_hash);
+    world.note_executed(replica.id, seq, content_hash);
     if (d.requests) {
       for (const Request& req : *d.requests) {
-        ++executed_requests;
         if (pool > 0) {
-          // Shard classification mirrors app::NullService: key % shards,
-          // then the fixed shard -> worker mapping. (The coordination
-          // service classifies everything global — exec_pool() is 0 for
-          // it, so this branch is never taken there.)
-          ++executed_parallel;
+          // The kNull service classifies every request onto a shard. (The
+          // coordination service classifies everything global —
+          // exec_pool() is 0 for it, so this branch is never taken there.)
           cost += costs.exec_dispatch_ns + costs.exec_retire_ns;
-          const std::uint32_t shard = static_cast<std::uint32_t>(
-              req.key() % app::NullService::kNumShards);
-          worker_busy[shard % pool] +=
+          const std::uint32_t shard = service.classify(req).shard;
+          worker_busy[core::ExecOrder::worker_of(shard, pool)] +=
               costs.exec_base_ns + costs.exec_worker_ns;
         } else {
           cost += (cfg.service == SimService::kCoordination)
                       ? costs.coord_op_ns
                       : costs.exec_base_ns;
         }
-        bool omit = cfg.reply_mode == core::ReplyMode::kOmitOne &&
-                    req.key() % cfg.protocol.num_replicas == replica.id;
-        if (!omit) {
+        if (!order.omits_reply(cfg.reply_mode, replica.id, req.key())) {
           // Offloaded post-execution (§4.3.2): the reply goes back to the
           // *originating* pillar — the one that ran instance seq — so
           // post-processing and sealing parallelize across pillars. The
           // stage itself only pays for building/routing the ReplyTask.
-          std::uint32_t unit =
-              (cfg.arch == SimArch::kCop)
-                  ? static_cast<std::uint32_t>(d.seq % replica.logic.size())
-                  : 0;
           cost += costs.reply_task_ns;
-          replies[unit].push_back(
+          replies[order.reply_pillar(seq)].push_back(
               {req.client, req.id,
                world.fleet->reply_bytes_for_flags(req.flags)});
         }
       }
     }
-    SeqNum seq = next_seq;
-    reorder.erase(it);
-    ++next_seq;
+    order.advance();
 
-    if (seq % cfg.protocol.checkpoint_interval == 0) {
+    if (order.checkpoint_boundary(seq)) {
       // Checkpoint hashing needs the quiescent point: every dispatched
       // request retires first (the threaded stage's drain_pool()).
       settle_workers();
@@ -882,9 +860,7 @@ double ExecSim::apply_ready(
       // to the owning pillar, whose poll picks it up (the dequeue_ns in
       // start_checkpoint) — no exec-side hand-off anymore (§4.3.1).
       cost += costs.digest_base_ns;
-      std::uint32_t owner = static_cast<std::uint32_t>(
-          (seq / cfg.protocol.checkpoint_interval) % replica.logic.size());
-      LogicUnit* unit = replica.logic[owner].get();
+      LogicUnit* unit = replica.logic[order.checkpoint_owner(seq)].get();
       unit->thread.post(
           [unit, seq]() -> double { return unit->start_checkpoint(seq); });
     }
@@ -943,14 +919,17 @@ double LogicUnit::gap_check() {
   // and times its own stall; a stalled frontier makes it fill its *own*
   // slice up to the highest admitted instance (§4.2.1). Self-detected on
   // this thread — no exec-side hand-off.
-  ExecSim* exec = replica.exec.get();
-  if (exec->reorder.empty() || exec->next_seq != last_gap_frontier) {
-    last_gap_frontier = exec->next_seq;
+  // The rule stays the simulator's own: it fills on the second poll at an
+  // unchanged frontier, where the runtime times gap_timeout_us; the poll
+  // period models the reaction latency.
+  const core::ExecOrder& order = replica.exec->order;
+  const SeqNum frontier = order.next_seq();
+  if (order.empty() || frontier != last_gap_frontier) {
+    last_gap_frontier = frontier;
     return 50.0;
   }
-  const SeqNum target = exec->reorder.rbegin()->first;
-  const SeqNum frontier = exec->next_seq;
-  core->fill_gap_upto(target, world.now_virtual_us(), frontier);
+  core->fill_gap_upto(order.highest_admitted(), world.now_virtual_us(),
+                      frontier);
   return 100.0 + world.costs.logic_per_message_ns + drain_effects();
 }
 
@@ -1021,10 +1000,7 @@ double ClientFleet::on_reply(SimClient& client, RequestId rid,
   double cost =
       costs.parse_ns(bytes) + costs.mac_ns(bytes) + costs.client_reply_ns;
   auto it = client.outstanding.find(rid);
-  if (it == client.outstanding.end()) {
-    ++stray_replies;
-    return cost;
-  }
+  if (it == client.outstanding.end()) return cost;  // op already retired
   Op& op = it->second;
   ++op.replies_seen;
   if (!op.done && op.replies_seen >= cfg.protocol.max_faulty + 1) {
@@ -1095,8 +1071,8 @@ SimResult run_simulation(const SimConfig& config) {
                 end);
   }
 
-  // Fault timeline (includes the legacy pause triple via the compat shim).
-  for (const SimConfig::FaultEvent& ev : config.effective_faults()) {
+  // Fault timeline.
+  for (const SimConfig::FaultEvent& ev : config.faults) {
     World* w = &world;
     std::uint32_t r = ev.replica;
     auto kind = ev.kind;
@@ -1147,12 +1123,10 @@ SimResult run_simulation(const SimConfig& config) {
   result.follower_cpu_utilization =
       world.replicas[1]->machine.utilization(end);
   result.state_transfers = world.state_transfers;
-  result.cluster_next_seq = world.replicas[0]->exec->next_seq;
-  if (config.pause_replica < config.protocol.num_replicas)
-    result.laggard_next_seq =
-        world.replicas[config.pause_replica]->exec->next_seq;
+  result.cluster_next_seq = world.replicas[0]->exec->order.next_seq();
   for (auto& replica : world.replicas) {
-    result.replica_next_seq.push_back(replica->exec->next_seq);
+    result.replica_next_seq.push_back(replica->exec->order.next_seq());
+    result.reorder_slot_drops += replica->exec->order.slot_drops();
     for (auto& unit : replica->logic) {
       result.adversary_equivocations +=
           unit->core->stats().adversary_equivocations;
@@ -1172,54 +1146,6 @@ SimResult run_simulation(const SimConfig& config) {
         static_cast<std::uint64_t>(t->backlog())});
   result.leader_reorder_peak = world.replicas[0]->exec->reorder_peak;
 
-  if (std::getenv("COPBFT_SIM_DEBUG")) {
-    double elapsed = static_cast<double>(end);
-    for (ReplicaId r = 0; r < 2; ++r) {
-      std::fprintf(stderr, "[sim] replica %u threads:", r);
-      for (const auto& t : world.replicas[r]->machine.threads())
-        std::fprintf(stderr, " %s=%.2f", t->name().c_str(),
-                     t->busy_ns() / elapsed);
-      std::fprintf(stderr, "\n");
-      ExecSim& exec = *world.replicas[r]->exec;
-      std::size_t pending = 0, open = 0;
-      for (auto& unit : world.replicas[r]->logic) {
-        pending += unit->core->pending_requests();
-        open += unit->core->open_instances();
-      }
-      std::fprintf(
-          stderr,
-          "[sim] replica %u exec: executed=%llu next_seq=%llu reorder=%zu | "
-          "cores: pending=%zu open=%zu\n",
-          r, static_cast<unsigned long long>(exec.executed_requests),
-          static_cast<unsigned long long>(exec.next_seq),
-          exec.reorder.size(), pending, open);
-      if (r == 0) {
-        for (std::size_t u = 0; u < world.replicas[r]->logic.size(); ++u) {
-          const auto& cs = world.replicas[r]->logic[u]->core->stats();
-          std::fprintf(stderr,
-                       "[sim]   unit %zu: prop=%llu del=%llu macs=%llu "
-                       "reqmacs=%llu skip=%llu open=%zu pend=%zu backlog=%zu\n",
-                       u, (unsigned long long)cs.proposals,
-                       (unsigned long long)cs.instances_delivered,
-                       (unsigned long long)cs.macs_verified,
-                       (unsigned long long)cs.request_macs_verified,
-                       (unsigned long long)cs.verifications_skipped,
-                       world.replicas[r]->logic[u]->core->open_instances(),
-                       world.replicas[r]->logic[u]->core->pending_requests(),
-                       world.replicas[r]->logic[u]->thread.backlog());
-        }
-      }
-    }
-    std::uint64_t outstanding = 0;
-    for (const auto& client : world.fleet->clients)
-      outstanding += client.outstanding.size();
-    std::fprintf(stderr,
-                 "[sim] fleet: completed=%llu stray_replies=%llu "
-                 "outstanding=%llu\n",
-                 static_cast<unsigned long long>(world.completed_ops),
-                 static_cast<unsigned long long>(world.fleet->stray_replies),
-                 static_cast<unsigned long long>(outstanding));
-  }
   return result;
 }
 

@@ -1,12 +1,13 @@
 // Cluster simulator: runs the COP / TOP / BFT-SMaRt replica architectures
 // over simulated multi-core machines and GbE adapters in virtual time.
 //
-// This is the reproduction vehicle for the paper's evaluation (§5): the
-// host running this repository has a single CPU core, so multi-core
-// scaling is reproduced by simulation. Protocol behaviour is NOT modelled
-// — each simulated logic unit drives a real protocol::PbftCore (the same
-// class the threaded runtime uses); only CPU time and network bytes are
-// accounted through sim::CostModel instead of being burned for real.
+// This is the reproduction vehicle for the paper's evaluation (§5): one
+// build host cannot stand in for four 12-core machines with four NICs
+// each, so multi-core scaling is reproduced by simulation. Protocol
+// behaviour is NOT modelled — each simulated logic unit drives a real
+// protocol::PbftCore (the same class the threaded runtime uses); only CPU
+// time and network bytes are accounted through sim::CostModel instead of
+// being burned for real.
 //
 // Setup mirrors §5 "The Setup": 4 replica machines (configurable cores,
 // 2 SMT contexts each, four 1 GbE adapters), 5 client machines, closed-
@@ -84,14 +85,7 @@ struct SimConfig {
   std::uint64_t seed = 42;
 
   // ---- fault injection ----
-  /// Legacy single-fault triple, kept as a compatibility shim: when
-  /// pause_replica is set it is translated into a kPause/kResume pair on
-  /// the `faults` timeline below. UINT32_MAX disables it.
-  std::uint32_t pause_replica = UINT32_MAX;
-  SimTime pause_at = 0;
-  SimTime resume_at = 0;
-
-  /// Generalized fault schedule: a timeline of per-replica events.
+  /// Fault schedule: a timeline of per-replica events.
   ///   kPause   — cut the replica's network (it neither sends nor receives;
   ///              its cores keep spinning on stale state).
   ///   kResume  — restore the network. The cluster meanwhile truncated its
@@ -140,16 +134,6 @@ struct SimConfig {
   WanConfig wan;
 
   CostModel costs;
-
-  /// The fault timeline with the legacy pause triple folded in.
-  std::vector<FaultEvent> effective_faults() const {
-    std::vector<FaultEvent> all = faults;
-    if (pause_replica != UINT32_MAX) {
-      all.push_back({pause_at, pause_replica, FaultEvent::Kind::kPause});
-      all.push_back({resume_at, pause_replica, FaultEvent::Kind::kResume});
-    }
-    return all;
-  }
 
   /// Resolved pillar count for this configuration.
   std::uint32_t pillars() const {
@@ -204,10 +188,9 @@ struct SimResult {
   double leader_cpu_utilization = 0;
   double follower_cpu_utilization = 0;
   std::uint64_t instances = 0;
-  /// Fault injection (pause_replica set): completed state transfers, and
-  /// the execution frontiers of the laggard and of replica 0 at the end.
+  /// Fault injection: completed state transfers, and the execution
+  /// frontier of replica 0 at the end.
   std::uint64_t state_transfers = 0;
-  std::uint64_t laggard_next_seq = 0;
   std::uint64_t cluster_next_seq = 0;
 
   /// Execution frontier (next_seq) of every replica at the end of the run;
@@ -239,6 +222,10 @@ struct SimResult {
   std::vector<StageLoad> leader_stages;
   /// Peak depth of the leader's reorder buffer (execution-stage series).
   std::uint64_t leader_reorder_peak = 0;
+  /// Commits the reorder rings of all replicas dropped or evicted on a
+  /// slot collision (core::ExecOrder::slot_drops); each such commit waits
+  /// for the gap-fill path to re-fetch it. Written to no artifact.
+  std::uint64_t reorder_slot_drops = 0;
 };
 
 SimResult run_simulation(const SimConfig& config);

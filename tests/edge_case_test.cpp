@@ -64,6 +64,13 @@ TEST(ReplicaConstruction, ArchitectureInvariantsEnforced) {
                                 std::make_unique<app::NullService>(), *crypto,
                                 transport),
                std::invalid_argument);
+  // COP: the rotating-leader block size (protocol.num_pillars) and the
+  // slice/execution-stage pillar count (num_pillars) must be one count.
+  cfg.protocol.num_pillars = 3;
+  EXPECT_THROW(core::CopReplica(0, cfg,
+                                std::make_unique<app::NullService>(), *crypto,
+                                transport),
+               std::invalid_argument);
   cfg.num_pillars = 1;
   cfg.protocol.num_pillars = 1;
   cfg.protocol.max_active_proposals = 0;  // SMaRt must be single-instance

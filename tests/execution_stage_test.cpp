@@ -156,9 +156,9 @@ class ExecutionStageTest : public ::testing::Test {
 TEST_F(ExecutionStageTest, ExecutesInSequenceOrderDespiteArrivalOrder) {
   start();
   // Arrive out of order: 3, 1, 2.
-  stage_->submit(batch(3, {30}));
-  stage_->submit(batch(1, {10}));
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(3, {30}));
+  stage_->admit(batch(1, {10}));
+  stage_->admit(batch(2, {20}));
   ASSERT_TRUE(wait_replies(3));
   stage_->stop();
 
@@ -178,21 +178,21 @@ TEST_F(ExecutionStageTest, ExecutesInSequenceOrderDespiteArrivalOrder) {
 
 TEST_F(ExecutionStageTest, HoldsBackUntilGapCloses) {
   start();
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(2, {20}));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(stage_->stats().requests_executed, 0u) << "seq 1 missing";
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   EXPECT_EQ(stage_->stats().requests_executed, 2u);
 }
 
 TEST_F(ExecutionStageTest, DuplicateRequestSuppressedAndReplyResent) {
   start();
-  stage_->submit(batch(1, {7}));
+  stage_->admit(batch(1, {7}));
   ASSERT_TRUE(wait_replies(1));
   // The same request committed again at a later sequence number (client
   // retransmission raced the first instance).
-  stage_->submit(batch(2, {7}));
+  stage_->admit(batch(2, {7}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
 
@@ -208,9 +208,9 @@ TEST_F(ExecutionStageTest, DuplicateRequestSuppressedAndReplyResent) {
 TEST_F(ExecutionStageTest, NoopBatchesAdvanceWithoutExecution) {
   start();
   // seq 1 belongs to pillar 1 of 2 under c(p,i) = p + i*NP.
-  stage_->submit(CommittedBatch{
+  stage_->admit(CommittedBatch{
       1, 0, std::make_shared<std::vector<Request>>(), 1});
-  stage_->submit(batch(2, {5}));
+  stage_->admit(batch(2, {5}));
   ASSERT_TRUE(wait_replies(1));
   EXPECT_EQ(stage_->stats().noops_executed, 1u);
   EXPECT_EQ(stage_->stats().requests_executed, 1u);
@@ -219,7 +219,7 @@ TEST_F(ExecutionStageTest, NoopBatchesAdvanceWithoutExecution) {
 TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
   start(ReplyMode::kAll, /*pillars=*/2);
   for (SeqNum s = 1; s <= 20; ++s)
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
   ASSERT_TRUE(log_.wait_for([](const auto& commands) {
     int checkpoints = 0;
     for (const auto& [pillar, cmd] : commands)
@@ -246,7 +246,7 @@ TEST_F(ExecutionStageTest, CheckpointTriggeredAtIntervalWithRoundRobinOwner) {
 
 TEST_F(ExecutionStageTest, GapFillRequestedWhenStalled) {
   start();
-  stage_->submit(batch(5, {50}));  // seqs 1-4 missing
+  stage_->admit(batch(5, {50}));  // seqs 1-4 missing
   // Each pillar times its own stall against the shared frontier and
   // requests a fill for its own slice — wait until every pillar fired.
   ASSERT_TRUE(log_.wait_for([&](const auto& commands) {
@@ -276,7 +276,8 @@ TEST_F(ExecutionStageTest, OmitOneSkipsDeterministicReplica) {
   // whose is not.
   RequestId omitted_id = 0, replied_id = 0;
   for (RequestId id = 1; id < 50 && (!omitted_id || !replied_id); ++id) {
-    if (config_.omitted_replier(request_key(1001, id)) == 1)
+    if (stage_->order().omits_reply(ReplyMode::kOmitOne, /*self=*/1,
+                                    request_key(1001, id)))
       omitted_id = omitted_id ? omitted_id : id;
     else
       replied_id = replied_id ? replied_id : id;
@@ -284,8 +285,8 @@ TEST_F(ExecutionStageTest, OmitOneSkipsDeterministicReplica) {
   ASSERT_NE(omitted_id, 0u);
   ASSERT_NE(replied_id, 0u);
 
-  stage_->submit(batch(1, {omitted_id}));
-  stage_->submit(batch(2, {replied_id}));
+  stage_->admit(batch(1, {omitted_id}));
+  stage_->admit(batch(2, {replied_id}));
   ASSERT_TRUE(wait_replies(1));
   stage_->stop();
 
@@ -301,9 +302,9 @@ TEST_F(ExecutionStageTest, OmitOneSkipsDeterministicReplica) {
 
 TEST_F(ExecutionStageTest, RepliesOffloadToOriginatingPillar) {
   start(ReplyMode::kAll, /*pillars=*/2, /*offload=*/true);
-  stage_->submit(batch(1, {11}));
-  stage_->submit(batch(2, {12}));
-  stage_->submit(batch(3, {13}));
+  stage_->admit(batch(1, {11}));
+  stage_->admit(batch(2, {12}));
+  stage_->admit(batch(3, {13}));
   ASSERT_TRUE(replies_.wait_for(3));
   stage_->stop();
 
@@ -329,7 +330,7 @@ TEST_F(ExecutionStageTest, OffloadedReplyCarriesCommitView) {
   // the reply (clients match replies against the view they learn).
   CommittedBatch post_view_change = batch(1, {5});
   post_view_change.view = 3;
-  stage_->submit(std::move(post_view_change));
+  stage_->admit(std::move(post_view_change));
   ASSERT_TRUE(replies_.wait_for(1));
 
   std::lock_guard lock(replies_.mutex);
@@ -342,12 +343,12 @@ TEST_F(ExecutionStageTest, ReplyCacheEvictsOldestAndServesIndexedHits) {
   // Fill one client's reply cache past its 32-entry bound: ids 1..40, so
   // the 8 oldest (1..8) are evicted.
   for (SeqNum s = 1; s <= 40; ++s)
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
   ASSERT_TRUE(replies_.wait_for(40));
   // A retransmission of a still-cached id is answered from the index; a
   // retransmission of an evicted id is suppressed without a reply.
-  stage_->submit(batch(41, {40}));
-  stage_->submit(batch(42, {2}));
+  stage_->admit(batch(41, {40}));
+  stage_->admit(batch(42, {2}));
   ASSERT_TRUE(replies_.wait_for(41));
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.duplicates_suppressed >= 2; }));
@@ -370,7 +371,8 @@ TEST_F(ExecutionStageTest, OmitOneUnderOffloadEmitsNoTaskForOmitted) {
   start(ReplyMode::kOmitOne, /*pillars=*/2, /*offload=*/true);
   RequestId omitted_id = 0, replied_id = 0;
   for (RequestId id = 1; id < 50 && (!omitted_id || !replied_id); ++id) {
-    if (config_.omitted_replier(request_key(1001, id)) == 1)
+    if (stage_->order().omits_reply(ReplyMode::kOmitOne, /*self=*/1,
+                                    request_key(1001, id)))
       omitted_id = omitted_id ? omitted_id : id;
     else
       replied_id = replied_id ? replied_id : id;
@@ -378,8 +380,8 @@ TEST_F(ExecutionStageTest, OmitOneUnderOffloadEmitsNoTaskForOmitted) {
   ASSERT_NE(omitted_id, 0u);
   ASSERT_NE(replied_id, 0u);
 
-  stage_->submit(batch(1, {omitted_id}));
-  stage_->submit(batch(2, {replied_id}));
+  stage_->admit(batch(1, {omitted_id}));
+  stage_->admit(batch(2, {replied_id}));
   ASSERT_TRUE(replies_.wait_for(1));
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.requests_executed >= 2; }));
@@ -395,7 +397,7 @@ TEST_F(ExecutionStageTest, OmitOneUnderOffloadEmitsNoTaskForOmitted) {
   // A retransmission of the omitted request is still answered from the
   // cache: the reply cache is replicated state, independent of which
   // replica omitted the original reply.
-  stage_->submit(batch(3, {omitted_id}));
+  stage_->admit(batch(3, {omitted_id}));
   ASSERT_TRUE(replies_.wait_for(2));
   std::lock_guard lock(replies_.mutex);
   EXPECT_EQ(replies_.tasks[1].request, omitted_id);
@@ -408,7 +410,7 @@ TEST_F(ExecutionStageTest, FallsBackInlineWhenPillarRejects) {
     std::lock_guard lock(replies_.mutex);
     replies_.reject = true;  // saturated / closing pillar
   }
-  stage_->submit(batch(1, {9}));
+  stage_->admit(batch(1, {9}));
   ASSERT_TRUE(wait_replies(1));
   stage_->stop();
 
@@ -440,14 +442,14 @@ void count_invariant(const InvariantViolation&) {
 
 TEST_F(ExecutionStageTest, SlotCollisionDropsHigherSeqAndCounts) {
   start(ReplyMode::kAll, /*pillars=*/1);
-  stage_->submit(batch(2, {20}));    // parked: seq 1 missing
-  stage_->submit(batch(130, {13}));  // 130 & 127 == 2: collides
+  stage_->admit(batch(2, {20}));    // parked: seq 1 missing
+  stage_->admit(batch(130, {13}));  // 130 & 127 == 2: collides
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.reorder_slot_drops >= 1; }));
 
   // The lower seq executes first, so it is the one kept; 130 is dropped
   // and gap detection would re-fetch it later.
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
   ExecutionStats stats = stage_->stats();
@@ -460,12 +462,12 @@ TEST_F(ExecutionStageTest, SlotCollisionEvictsHigherSeqOccupant) {
   start(ReplyMode::kAll, /*pillars=*/1);
   // Reverse arrival order: the higher seq occupies the slot first and must
   // be evicted in favour of the lower one.
-  stage_->submit(batch(130, {13}));
-  stage_->submit(batch(2, {20}));
+  stage_->admit(batch(130, {13}));
+  stage_->admit(batch(2, {20}));
   ASSERT_TRUE(wait_stats(
       [](const ExecutionStats& s) { return s.reorder_slot_drops >= 1; }));
 
-  stage_->submit(batch(1, {10}));
+  stage_->admit(batch(1, {10}));
   ASSERT_TRUE(wait_replies(2));
   stage_->stop();
   auto sent = transport_.take_sent();
@@ -483,11 +485,11 @@ TEST_F(ExecutionStageTest, DriftAtBoundAdmittedOnePastBoundFires) {
   // Exactly at the drift bound: seq = stable_basis + window is legal.
   CommittedBatch at_bound = batch(41, {41});
   at_bound.stable_basis = 1;
-  stage_->submit(std::move(at_bound));
+  stage_->admit(std::move(at_bound));
   // One past the bound violates §3.4's checkpoint-window drift invariant.
   CommittedBatch past_bound = batch(42, {42});
   past_bound.stable_basis = 1;
-  stage_->submit(std::move(past_bound));
+  stage_->admit(std::move(past_bound));
   ASSERT_TRUE(wait_stats([](const ExecutionStats&) {
     return g_invariant_fires.load() >= 1;
   }));
@@ -505,7 +507,7 @@ TEST_F(ExecutionStageTest, SequentialWrapAroundExecutesEverything) {
   constexpr SeqNum kTotal = 300;
   constexpr SeqNum kChunk = 100;
   for (SeqNum s = 1; s <= kTotal; ++s) {
-    stage_->submit(batch(s, {static_cast<RequestId>(s)}));
+    stage_->admit(batch(s, {static_cast<RequestId>(s)}));
     if (s % kChunk == 0) ASSERT_TRUE(wait_replies(s, /*ms=*/10'000)) << s;
   }
   ASSERT_TRUE(wait_replies(kTotal, /*ms=*/10'000));
@@ -565,13 +567,13 @@ TEST_F(ExecutionStageTest, RetransmissionWhileOriginalInFlightKeepsOneStamp) {
   // pool before going idle, so the in-flight window only exists for a
   // retransmission processed back-to-back with its original. Admit the
   // retransmission (seq 2) first; it parks on the gap at seq 1.
-  stage_->submit(batch(2, {7}));
+  stage_->admit(batch(2, {7}));
   // Closing the gap makes the stage dispatch the original to a worker —
   // which blocks inside execute() — and then immediately hit the
   // retransmission while the cache entry's result is still pending. The
   // stage must not resend that pending (empty) entry, and it must not
   // re-execute: it retires the original first, then resends its reply.
-  stage_->submit(batch(1, {7}));
+  stage_->admit(batch(1, {7}));
   ASSERT_TRUE(service->wait_entered(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   {
@@ -606,7 +608,7 @@ TEST_F(ExecutionStageTest, RetransmissionWhileOriginalInFlightKeepsOneStamp) {
 
 TEST_F(ExecutionStageTest, RepliesCarryVerifiableMac) {
   start();
-  stage_->submit(batch(1, {9}));
+  stage_->admit(batch(1, {9}));
   ASSERT_TRUE(wait_replies(1));
   stage_->stop();
   auto sent = transport_.take_sent();

@@ -102,7 +102,7 @@ class InvariantTest : public ::testing::Test {
 
 TEST_F(InvariantTest, GenesisSequenceNumberTrips) {
   start_stage(/*pillars=*/1);
-  stage_->submit(batch(/*seq=*/0, /*pillar=*/0, /*id=*/1));
+  stage_->admit(batch(/*seq=*/0, /*pillar=*/0, /*id=*/1));
   auto fired = wait_fired(1);
   ASSERT_GE(fired.size(), 1u);
   EXPECT_NE(fired[0].expression.find("batch.seq != 0"), std::string::npos);
@@ -112,7 +112,7 @@ TEST_F(InvariantTest, PillarOwnershipPartitionTrips) {
   start_stage(/*pillars=*/2);
   // Sequence number 1 belongs to pillar 1 under c(p,i) = p + i*NP; a batch
   // claiming pillar 0 breaks the partition.
-  stage_->submit(batch(/*seq=*/1, /*pillar=*/0, /*id=*/1));
+  stage_->admit(batch(/*seq=*/1, /*pillar=*/0, /*id=*/1));
   auto fired = wait_fired(1);
   ASSERT_GE(fired.size(), 1u);
   EXPECT_NE(fired[0].message.find("c(p,i)=p+i*NP"), std::string::npos);
@@ -122,7 +122,7 @@ TEST_F(InvariantTest, CheckpointWindowDriftBoundTrips) {
   start_stage(/*pillars=*/2);
   // window = 40 and the frontier is at 1: seq 45 is beyond the drift any
   // correct pillar could reach before the next checkpoint stabilized.
-  stage_->submit(batch(/*seq=*/45, /*pillar=*/1, /*id=*/1));
+  stage_->admit(batch(/*seq=*/45, /*pillar=*/1, /*id=*/1));
   auto fired = wait_fired(1);
   ASSERT_GE(fired.size(), 1u);
   EXPECT_NE(fired[0].message.find("drift bound"), std::string::npos);
@@ -132,8 +132,8 @@ TEST_F(InvariantTest, ConflictingCommitForSameSeqTrips) {
   start_stage(/*pillars=*/2);
   // Both batches buffer behind the missing seq 1; the second commit for
   // seq 2 carries a different request, which would fork the total order.
-  stage_->submit(batch(/*seq=*/2, /*pillar=*/0, /*id=*/20));
-  stage_->submit(batch(/*seq=*/2, /*pillar=*/0, /*id=*/21));
+  stage_->admit(batch(/*seq=*/2, /*pillar=*/0, /*id=*/20));
+  stage_->admit(batch(/*seq=*/2, /*pillar=*/0, /*id=*/21));
   auto fired = wait_fired(1);
   ASSERT_GE(fired.size(), 1u);
   EXPECT_NE(fired[0].message.find("fork"), std::string::npos);

@@ -110,7 +110,7 @@ RunRecord run_workload(std::uint64_t content_seed, std::uint32_t exec_workers,
   stage.start();
 
   for (SeqNum s = 1; s <= kSeqs; ++s)
-    stage.submit(make_batch(content_seed, s));
+    stage.admit(make_batch(content_seed, s));
   for (int spin = 0; spin < 5000 && stage.next_seq() <= kSeqs; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_GT(stage.next_seq(), kSeqs) << "stage drained the whole stream";

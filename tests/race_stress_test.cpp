@@ -207,7 +207,7 @@ TEST(RaceStress, PillarsToExecutionStageToOutbound) {
           // is always inside the window authorized by its checkpoint.
           const SeqNum basis =
               seq > config.protocol.window ? seq - config.protocol.window : 0;
-          stage.submit(CommittedBatch{seq, 0, requests, p, basis});
+          stage.admit(CommittedBatch{seq, 0, requests, p, basis});
         }
       });
     }
@@ -298,7 +298,7 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
       req.id = static_cast<RequestId>(s);
       req.payload = to_bytes("x");
       requests->push_back(std::move(req));
-      donor.submit(CommittedBatch{s, 0, requests, 0});
+      donor.admit(CommittedBatch{s, 0, requests, 0});
     }
     {
       std::unique_lock lock(mutex);
@@ -353,7 +353,7 @@ TEST(RaceStress, InstallTruncationRacesPillarPublishAndDrain) {
           requests->push_back(std::move(req));
           const SeqNum basis =
               seq > config.protocol.window ? seq - config.protocol.window : 0;
-          stage.submit(CommittedBatch{seq, 0, requests, p, basis});
+          stage.admit(CommittedBatch{seq, 0, requests, p, basis});
         }
       });
     }

@@ -100,7 +100,7 @@ class AdmissionRun {
 
   ~AdmissionRun() { stage_->stop(); }
 
-  void submit(SeqNum seq) { stage_->submit(make_batch(content_seed_, seq)); }
+  void submit(SeqNum seq) { stage_->admit(make_batch(content_seed_, seq)); }
 
   /// One poll round at virtual time `now_us`, all pillars in index order,
   /// appending what each picked up to the record.

@@ -233,7 +233,6 @@ std::uint64_t result_digest(const SimResult& r) {
   mix(r.completed_ops);
   mix(r.instances);
   mix(r.state_transfers);
-  mix(r.laggard_next_seq);
   mix(r.cluster_next_seq);
   mix(r.fork_detections);
   for (std::uint64_t seq : r.replica_next_seq) mix(seq);
@@ -260,7 +259,11 @@ TEST(SimReplay, PillarAdmissionBitIdenticalAcrossReplays) {
   cfg.seed = 20260808;
   cfg.protocol.retransmit_interval_us = 20'000;
 
-  const std::uint64_t first = result_digest(run_simulation(cfg));
+  // The reorder rings never drop a commit here: the artifacts' byte
+  // identity with an unbounded reorder buffer rests on that.
+  const SimResult clean = run_simulation(cfg);
+  EXPECT_EQ(clean.reorder_slot_drops, 0u);
+  const std::uint64_t first = result_digest(clean);
   for (int replay = 0; replay < 2; ++replay)
     EXPECT_EQ(result_digest(run_simulation(cfg)), first)
         << "replay " << replay << " diverged";
@@ -271,6 +274,7 @@ TEST(SimReplay, PillarAdmissionBitIdenticalAcrossReplays) {
   cfg.faults.push_back({90 * 1'000'000ULL, 2, SimConfig::FaultEvent::Kind::kRecover});
   SimResult faulted = run_simulation(cfg);
   EXPECT_EQ(faulted.fork_detections, 0u);
+  EXPECT_EQ(faulted.reorder_slot_drops, 0u);
   const std::uint64_t fault_digest = result_digest(faulted);
   EXPECT_NE(fault_digest, first) << "fault schedule must change the run";
   EXPECT_EQ(result_digest(run_simulation(cfg)), fault_digest)

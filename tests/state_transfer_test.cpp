@@ -136,7 +136,7 @@ class InstallTest : public ::testing::Test {
           snapshots_.record(seq, digest, std::move(artifact));
         });
     donor_->start();
-    for (SeqNum s = 1; s <= upto; ++s) donor_->submit(put_batch(s));
+    for (SeqNum s = 1; s <= upto; ++s) donor_->admit(put_batch(s));
     EXPECT_TRUE(snapshots_.wait_count(upto / 10));
     std::lock_guard lock(snapshots_.mutex);
     return snapshots_.taken.back();
@@ -186,7 +186,7 @@ TEST_F(InstallTest, InstallAdvancesFrontierAndResumesExecution) {
   start_laggard();
 
   // The laggard buffered a batch beyond its frontier; nothing executes.
-  laggard_->submit(put_batch(12));
+  laggard_->admit(put_batch(12));
   ASSERT_TRUE(install(*laggard_, seq, digest, std::move(artifact)));
   EXPECT_EQ(laggard_->next_seq(), 11u);
   EXPECT_EQ(laggard_->stats().state_installs, 1u);
@@ -195,7 +195,7 @@ TEST_F(InstallTest, InstallAdvancesFrontierAndResumesExecution) {
   EXPECT_EQ(laggard_service_->state_digest(), donor_service_->state_digest());
 
   // Execution resumes: seq 11 closes the gap to the buffered seq 12.
-  laggard_->submit(put_batch(11));
+  laggard_->admit(put_batch(11));
   for (int spin = 0; spin < 200 && laggard_->next_seq() < 13; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(laggard_->next_seq(), 13u);
@@ -212,7 +212,7 @@ TEST_F(InstallTest, InstalledClientTableSuppressesReExecution) {
   // suppressed instead of double-executed.
   auto requests = std::make_shared<std::vector<Request>>();
   requests->push_back(kv_put(1001, 7, "key-1", "value-7"));
-  laggard_->submit(CommittedBatch{11, 0, requests, 0});
+  laggard_->admit(CommittedBatch{11, 0, requests, 0});
   for (int spin = 0; spin < 200 && laggard_->next_seq() < 12; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(laggard_->stats().duplicates_suppressed, 1u);
@@ -315,8 +315,8 @@ class ManagerTest : public ::testing::Test {
       auto requests = std::make_shared<std::vector<Request>>();
       requests->push_back(kv_put(1001, s, "key-" + std::to_string(s),
                                  "value-" + std::to_string(s)));
-      donor.submit(CommittedBatch{s, 0, requests,
-                                  static_cast<std::uint32_t>(s % 2)});
+      donor.admit(CommittedBatch{s, 0, requests,
+                                 static_cast<std::uint32_t>(s % 2)});
     }
     EXPECT_TRUE(snapshots.wait_count(1));
     donor.stop();
@@ -651,9 +651,10 @@ TEST(SimStateTransfer, PausedReplicaRejoinsDeterministically) {
   config.protocol.retransmit_interval_us = 20'000;
   config.warmup = 300 * 1'000'000ULL;   // 300 ms
   config.measure = 300 * 1'000'000ULL;  // 300 ms
-  config.pause_replica = 3;
-  config.pause_at = 100 * 1'000'000ULL;   // cut at 100 ms...
-  config.resume_at = 400 * 1'000'000ULL;  // ...reconnect at 400 ms
+  using Kind = sim::SimConfig::FaultEvent::Kind;
+  // Cut replica 3's network at 100 ms, reconnect it at 400 ms.
+  config.faults.push_back({100 * 1'000'000ULL, 3, Kind::kPause});
+  config.faults.push_back({400 * 1'000'000ULL, 3, Kind::kResume});
 
   sim::SimResult result = run_simulation(config);
   EXPECT_GT(result.state_transfers, 0u)
@@ -665,7 +666,7 @@ TEST(SimStateTransfer, PausedReplicaRejoinsDeterministically) {
   // in-flight window on top of the protocol's own drift bound. Without
   // state transfer it would be stuck near its pause-time frontier, tens
   // of windows behind.
-  EXPECT_GE(result.laggard_next_seq + 2 * config.protocol.window,
+  EXPECT_GE(result.replica_next_seq[3] + 2 * config.protocol.window,
             result.cluster_next_seq)
       << "the laggard rejoined to within the drift bound";
 
@@ -673,7 +674,7 @@ TEST(SimStateTransfer, PausedReplicaRejoinsDeterministically) {
   // same trajectory bit for bit.
   sim::SimResult replay = run_simulation(config);
   EXPECT_EQ(replay.state_transfers, result.state_transfers);
-  EXPECT_EQ(replay.laggard_next_seq, result.laggard_next_seq);
+  EXPECT_EQ(replay.replica_next_seq, result.replica_next_seq);
   EXPECT_EQ(replay.cluster_next_seq, result.cluster_next_seq);
   EXPECT_EQ(replay.completed_ops, result.completed_ops);
 }
